@@ -6,6 +6,10 @@ by halfspaces (intersection of homogeneous halfspaces), or both. The inner
 product is always the standard Euclidean one; the ``norm`` tag is carried
 for the benefit of Lipschitz constraints elsewhere and never affects the
 geometry here.
+
+Membership and projection run on (k, m) arrays of row vectors
+(``contains_many``, ``project_many``); ``contains`` and ``project_cone``
+are their one-row forms.
 """
 
 from __future__ import annotations
@@ -29,16 +33,23 @@ DEFAULT_TOL = 1e-9
 FACET_ENUM_MAX_DIM = 8
 
 
+def norm_many(V, tag):
+    """Norms of the rows of ``V`` (any (..., m) array) under a norm tag."""
+    V = np.asarray(V, dtype=float)
+    if tag == "l1":
+        return np.sum(np.abs(V), axis=-1)
+    if tag == "l2":
+        # vecdot takes the same dot product as np.linalg.norm of a single
+        # vector, so batched and one-row norms agree bit for bit.
+        return np.sqrt(np.vecdot(V, V))
+    if tag == "linf":
+        return np.max(np.abs(V), axis=-1, initial=0.0)
+    raise StructureError(f"unknown norm tag {tag!r}")
+
+
 def norm_value(v, tag):
     """Norm of ``v`` under one of the supported tags."""
-    v = np.asarray(v, dtype=float)
-    if tag == "l1":
-        return float(np.sum(np.abs(v)))
-    if tag == "l2":
-        return float(np.linalg.norm(v))
-    if tag == "linf":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    raise StructureError(f"unknown norm tag {tag!r}")
+    return float(norm_many(v, tag))
 
 
 @dataclass(frozen=True)
@@ -79,15 +90,50 @@ class ConeOrder:
             g = self.generators
             keep = np.linalg.norm(g, axis=1) > 0.0
             object.__setattr__(self, "generators", g[keep])
+        object.__setattr__(self, "_kind", _kernel_kind(self))
 
     @property
     def is_trivial(self):
-        if self.generators is not None:
-            return self.generators.shape[0] == 0
-        # Halfspace-only description: trivial iff the normals force x = 0,
-        # which cannot happen for finitely many homogeneous halfspaces
-        # unless they pin every direction; detect via pointedness + lineality.
-        return False
+        return self._kind == "trivial"
+
+
+def _kernel_kind(cone):
+    """The projection route of the batched kernel for this cone.
+
+    "trivial" is the cone {0}: no generators, or halfspace normals that
+    positively span R^m. "orthant" is a cone every given form of which is
+    positive multiples of the standard basis (projection clamps). The rest
+    are "generated" (NNLS) or "halfspace" (Dykstra).
+    """
+    if cone.generators is not None:
+        if cone.generators.shape[0] == 0:
+            return "trivial"
+    elif _positively_spans(cone.halfspaces):
+        return "trivial"
+    forms = [a for a in (cone.generators, cone.halfspaces) if a is not None]
+    if all(_is_scaled_basis(a) for a in forms):
+        return "orthant"
+    return "generated" if cone.generators is not None else "halfspace"
+
+
+def _positively_spans(normals):
+    """True iff every vector of R^m is a conic combination of the rows.
+
+    Then {x : Nx >= 0} = {0}. It suffices that each of +-e_i is one.
+    """
+    eye = np.eye(normals.shape[1])
+    return all(_nnls_fit(normals, v)[1] <= DEFAULT_TOL for v in np.vstack([eye, -eye]))
+
+
+def _is_scaled_basis(rows):
+    """True iff the rows are positive multiples of e_1..e_m, each once."""
+    nonzero = rows != 0.0
+    return (
+        rows.shape[0] == rows.shape[1]
+        and bool(np.all(rows >= 0.0))
+        and bool(np.all(nonzero.sum(axis=0) == 1))
+        and bool(np.all(nonzero.sum(axis=1) == 1))
+    )
 
 
 def orthant(dim, norm="l2"):
@@ -131,15 +177,37 @@ def _nnls_fit(generators, v):
     return point, float(np.linalg.norm(gap))
 
 
-def contains(cone, v, tol=DEFAULT_TOL):
-    """Cone membership test; ``dominates(x, y)`` is ``contains(x - y)``."""
+def _rows(cone, V):
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != cone.dim:
+        raise StructureError(f"vectors must be rows of dimension {cone.dim}")
+    return V
+
+
+def _one_row(cone, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.dim,):
         raise StructureError(f"vector must have dimension {cone.dim}")
-    if cone.halfspaces is not None and cone.generators is None:
-        return bool(np.all(cone.halfspaces @ v >= -tol * (1.0 + np.linalg.norm(v))))
-    _, resid = _nnls_fit(cone.generators, v)
-    return resid <= tol * (1.0 + np.linalg.norm(v))
+    return v[None, :]
+
+
+def contains_many(cone, V, tol=DEFAULT_TOL):
+    """Cone membership of each row of the (k, m) array ``V``.
+
+    A cone with a halfspace form N tests the worst violation,
+    min(N v) >= -tol (1 + |v|). Otherwise v is a member iff its distance
+    to its projection is at most tol (1 + |v|).
+    """
+    V = _rows(cone, V)
+    slack = tol * (1.0 + norm_many(V, "l2"))
+    if cone.halfspaces is not None:
+        return np.all(V @ cone.halfspaces.T >= -slack[:, None], axis=1)
+    return norm_many(V - project_many(cone, V), "l2") <= slack
+
+
+def contains(cone, v, tol=DEFAULT_TOL):
+    """Cone membership test; ``dominates(x, y)`` is ``contains(x - y)``."""
+    return bool(contains_many(cone, _one_row(cone, v), tol)[0])
 
 
 def dominates(cone, x, y, tol=DEFAULT_TOL):
@@ -166,20 +234,29 @@ def dual_contains(cone, v, tol=DEFAULT_TOL):
     return resid <= tol * (1.0 + np.linalg.norm(v))
 
 
-def project_cone(cone, a, tol=DEFAULT_TOL, max_iter=None):
-    """Euclidean metric projection of ``a`` onto the cone.
+def project_many(cone, V, tol=DEFAULT_TOL, max_iter=None):
+    """Euclidean metric projection of each row of the (k, m) array ``V``.
 
-    Generated cones go through nonnegative least squares; halfspace cones
-    through Dykstra's cyclic projection with corrections, verified against
-    the KKT conditions on exit.
+    The trivial cone maps to 0 and the orthant (or scalar ray) clamps.
+    Other generated cones go row by row through nonnegative least squares;
+    other halfspace cones through Dykstra's cyclic projection with
+    corrections, verified against the KKT conditions on exit.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (cone.dim,):
-        raise StructureError(f"vector must have dimension {cone.dim}")
-    if cone.generators is not None:
-        p, _ = _nnls_fit(cone.generators, a)
-        return p
-    return _project_halfspaces(cone.halfspaces, a, tol, max_iter)
+    V = _rows(cone, V)
+    if cone._kind == "trivial":
+        return np.zeros_like(V)
+    if cone._kind == "orthant":
+        return np.maximum(V, 0.0)
+    if cone._kind == "generated":
+        rows = [_nnls_fit(cone.generators, v)[0] for v in V]
+    else:
+        rows = [_project_halfspaces(cone.halfspaces, v, tol, max_iter) for v in V]
+    return np.array(rows).reshape(V.shape)
+
+
+def project_cone(cone, a, tol=DEFAULT_TOL, max_iter=None):
+    """Euclidean metric projection of ``a`` onto the cone."""
+    return project_many(cone, _one_row(cone, a), tol, max_iter)[0]
 
 
 def _project_halfspaces(normals, a, tol, max_iter):

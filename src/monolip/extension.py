@@ -22,6 +22,7 @@ import scipy.optimize
 from . import cones, poset as poset_mod
 from .errors import (
     ConvergenceError,
+    NoDirectionError,
     RadialityRequiredError,
     StructureError,
     UnsupportedTargetError,
@@ -71,24 +72,29 @@ class ExtensionProblem:
         self._check_admissible()
 
     def _check_admissible(self):
+        # Raises on the first failing pair (a, b) in row-major order, and
+        # for that pair on the Lipschitz test before the order test.
         tol = self.tol
-        d = self.domain.dist
-        for a, sa in enumerate(self.subset):
-            for b, sb in enumerate(self.subset):
-                if a == b:
-                    continue
-                gap = cones.norm_value(self.f[a] - self.f[b], self.target.norm)
-                if gap > d[sa, sb] + tol * (1.0 + d[sa, sb]):
-                    raise StructureError(
-                        f"f is not 1-Lipschitz on S: |f({sa}) - f({sb})| = {gap} "
-                        f"> d = {d[sa, sb]}"
-                    )
-                if self.domain.geq(sa, sb) and not cones.contains(
-                    self.target, self.f[a] - self.f[b], tol
-                ):
-                    raise StructureError(
-                        f"f is not order-preserving on S at pair ({sa}, {sb})"
-                    )
+        sub = np.ix_(self.subset, self.subset)
+        d = self.domain.dist[sub]
+        diff = self.f[:, None, :] - self.f[None, :, :]
+        gap = cones.norm_many(diff, self.target.norm)
+        off = ~np.eye(len(self.subset), dtype=bool)
+        too_far = off & (gap > d + tol * (1.0 + d))
+        geq = off & self.domain.order_matrix[sub]
+        unordered = np.zeros_like(geq)
+        unordered[geq] = ~cones.contains_many(self.target, diff[geq], tol)
+        bad = np.argwhere(too_far | unordered)
+        if not bad.size:
+            return
+        a, b = bad[0]
+        sa, sb = self.subset[a], self.subset[b]
+        if too_far[a, b]:
+            raise StructureError(
+                f"f is not 1-Lipschitz on S: |f({sa}) - f({sb})| = {float(gap[a, b])} "
+                f"> d = {d[a, b]}"
+            )
+        raise StructureError(f"f is not order-preserving on S at pair ({sa}, {sb})")
 
     @property
     def is_scalar(self):
@@ -125,25 +131,16 @@ def verify_extension(problem, values, K, tol=DEFAULT_TOL):
     n = problem.domain.n
     if values.shape != (n, problem.target.dim):
         raise StructureError(f"values must have shape ({n}, {problem.target.dim})")
-    d = problem.domain.dist
-    lip = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = cones.norm_value(values[i] - values[j], problem.target.norm)
-            lip = max(lip, gap - K * d[i, j])
-    order = 0.0
-    for i, j in problem.domain.order:
-        if i == j:
-            continue
-        diff = values[i] - values[j]
-        proj = cones.project_cone(problem.target, diff)
-        order = max(order, float(np.linalg.norm(diff - proj)))
-    anchor = 0.0
-    for a, s in enumerate(problem.subset):
-        anchor = max(
-            anchor, cones.norm_value(values[s] - problem.f[a], problem.target.norm)
-        )
-    return ResidualReport(lipschitz=lip, order=order, anchor=anchor)
+    norm = problem.target.norm
+    i, j = np.triu_indices(n, 1)
+    gaps = cones.norm_many(values[i] - values[j], norm)
+    lip = np.max(gaps - K * problem.domain.dist[i, j], initial=0.0)
+    i, j = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
+    diff = values[i] - values[j]
+    miss = cones.norm_many(diff - cones.project_many(problem.target, diff), "l2")
+    order = np.max(miss, initial=0.0)
+    anchor = np.max(cones.norm_many(values[list(problem.subset)] - problem.f, norm), initial=0.0)
+    return ResidualReport(lipschitz=float(lip), order=float(order), anchor=float(anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +169,16 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
     fs = values[idx]
     if np.any(np.diff(xs) <= 0.0):
         raise StructureError("anchor points must be distinct")
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            step = fs[b] - fs[a]
-            if cones.norm_value(step, cone.norm) > (xs[b] - xs[a]) * (1.0 + tol) + tol:
-                raise StructureError("input map is not 1-Lipschitz")
-            if not cones.contains(cone, step, tol):
-                raise StructureError("input map is not order-preserving")
+    # The first failing pair (a, b), a < b, decides the error, with the
+    # Lipschitz test before the order test.
+    a, b = np.triu_indices(len(xs), 1)
+    steps = fs[b] - fs[a]
+    too_steep = cones.norm_many(steps, cone.norm) > (xs[b] - xs[a]) * (1.0 + tol) + tol
+    bad = np.flatnonzero(too_steep | ~cones.contains_many(cone, steps, tol))
+    if bad.size:
+        if too_steep[bad[0]]:
+            raise StructureError("input map is not 1-Lipschitz")
+        raise StructureError("input map is not order-preserving")
 
     scalar_query = np.isscalar(queries)
     qs = np.atleast_1d(np.asarray(queries, dtype=float))
@@ -197,21 +197,6 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
     if scalar_query:
         return out[0]
     return out
-
-
-def line_problem(points, values, cone=None):
-    """The finite extension problem induced by anchor points on the line
-    (used to verify interpolants on query grids)."""
-    points = np.asarray(points, dtype=float)
-    if cone is None:
-        cone = cones.scalar_cone()
-    order = np.argsort(points, kind="stable")
-    chain = poset_mod.chain_instance(points)
-    # chain_instance sorts, so map anchor rows accordingly
-    values = np.atleast_2d(np.asarray(values, dtype=float))[order]
-    return ExtensionProblem(
-        domain=chain, subset=tuple(range(chain.n)), target=cone, f=values
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +372,20 @@ def _dykstra(problem, K, tol, max_iter):
     corr_cone = {key: np.zeros((2, m)) for key in cone_sets}
     corr_eq = {key: np.zeros((2, m)) for key in eq_sets}
     anchors = list(zip(problem.subset, problem.f))
+    ball_i, ball_j = np.triu_indices(n, 1)
+    radii = K * d[ball_i, ball_j]
+    cone_i, cone_j = np.array(cone_sets, dtype=int).reshape(-1, 2).T
+    eq_i, eq_j = np.array(eq_sets, dtype=int).reshape(-1, 2).T
+    subset = list(problem.subset)
 
     def residuals():
-        lip = 0.0
-        for i, j, r in ball_sets:
-            lip = max(lip, float(np.linalg.norm(values[i] - values[j])) - r)
-        order = 0.0
-        for i, j in cone_sets:
-            diff = values[i] - values[j]
-            order = max(
-                order,
-                float(np.linalg.norm(diff - cones.project_cone(problem.target, diff))),
-            )
-        for i, j in eq_sets:
-            order = max(order, float(np.linalg.norm(values[i] - values[j])))
-        anc = max(
-            float(np.linalg.norm(values[s] - fv)) for s, fv in anchors
-        )
-        return lip, order, anc
+        lip = np.max(cones.norm_many(values[ball_i] - values[ball_j], "l2") - radii, initial=0.0)
+        diff = values[cone_i] - values[cone_j]
+        miss = cones.norm_many(diff - cones.project_many(problem.target, diff), "l2")
+        order = np.max(miss, initial=0.0)
+        order = np.max(cones.norm_many(values[eq_i] - values[eq_j], "l2"), initial=order)
+        anc = np.max(cones.norm_many(values[subset] - problem.f, "l2"))
+        return float(lip), float(order), float(anc)
 
     check_every = 10
     for sweep in range(max_iter):
@@ -470,7 +451,7 @@ def _scalar_relaxation(problem, K, seed=0):
         return None
     try:
         e = cones.monotone_direction(problem.target, seed=seed)
-    except Exception:
+    except (NoDirectionError, ConvergenceError):
         return None
     factor = _dual_norm_factor(problem.target.norm, e)
     f_scalar = (problem.f @ e)[:, None] / factor
@@ -668,13 +649,11 @@ def componentwise_extend(problem):
                 f"coordinate {c} failed to extend at K = 1 on a radial domain"
             )
         values[:, c] = res.values[:, 0]
-    d = problem.domain.dist
-    k_achieved = 1.0
-    for i in range(problem.domain.n):
-        for j in range(i + 1, problem.domain.n):
-            if d[i, j] > 0:
-                gap = cones.norm_value(values[i] - values[j], problem.target.norm)
-                k_achieved = max(k_achieved, gap / d[i, j])
+    i, j = np.triu_indices(problem.domain.n, 1)
+    d = problem.domain.dist[i, j]
+    apart = d > 0
+    gaps = cones.norm_many(values[i[apart]] - values[j[apart]], problem.target.norm)
+    k_achieved = float(np.max(gaps / d[apart], initial=1.0))
     return ExtensionResult(
         values=values,
         K=k_achieved,

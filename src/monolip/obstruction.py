@@ -180,10 +180,7 @@ def _subposet(poset, indices):
 def e2_lower_bound(poset, target, tol=1e-9, triple_cap=poset_mod.DEFAULT_TRIPLE_CAP):
     """Best certified lower bound over all radiality witnesses (1 if the
     poset is radial); returns (bound, certificate_or_None)."""
-    best = None
-    for w in poset_mod.iter_radiality_witnesses(poset, tol, triple_cap):
-        if best is None or w.ratio > best.ratio:
-            best = w
+    best = poset_mod.max_ratio_witness(poset, tol, triple_cap)
     if best is None:
         return 1.0, None
     cert = certify_obstruction(poset, best, target)

@@ -22,6 +22,10 @@ DEFAULT_TOL = 1e-9
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
 
+#: Largest block of the array radiality scan, in triples. Larger blocks save
+#: little time and leave larger temporaries behind in the heap.
+SCAN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FiniteMetricPoset:
@@ -34,6 +38,8 @@ class FiniteMetricPoset:
     labels: tuple
     dist: np.ndarray
     order: frozenset
+    #: Boolean matrix G with G[i, j] iff i >= j (read-only, built once).
+    order_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -42,25 +48,26 @@ class FiniteMetricPoset:
             raise StructureError("distance matrix must be square")
         if d.shape[0] != n:
             raise StructureError("distance matrix size must match labels")
-        pairs = frozenset((int(i), int(j)) for i, j in self.order)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise StructureError(f"order pair ({i}, {j}) out of range")
+        flat = np.fromiter(itertools.chain.from_iterable(self.order), dtype=np.int64)
+        if flat.size != 2 * len(self.order):
+            raise StructureError("order entries must be (i, j) pairs")
+        rows, cols = flat.reshape(-1, 2).T
+        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise StructureError(f"order pair ({rows[k]}, {cols[k]}) out of range")
+        pairs = frozenset(zip(rows.tolist(), cols.tolist()))
+        g = np.zeros((n, n), dtype=bool)
+        g[rows, cols] = True
+        g.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "order", pairs)
+        object.__setattr__(self, "order_matrix", g)
 
     @property
     def n(self):
         return len(self.labels)
-
-    @property
-    def order_matrix(self):
-        """Boolean matrix G with G[i, j] iff i >= j."""
-        g = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.order:
-            g[i, j] = True
-        return g
 
     def geq(self, i, j):
         return (i, j) in self.order
@@ -95,48 +102,47 @@ def validate(poset, tol=DEFAULT_TOL):
     d = poset.dist
     n = poset.n
     out = []
-    for i in range(n):
-        if abs(d[i, i]) > tol:
-            out.append(Violation("zero-diagonal", (i,), f"d({i},{i}) = {d[i, i]}"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > tol:
-                out.append(Violation("symmetry", (i, j), f"d({i},{j}) != d({j},{i})"))
-            if d[i, j] <= tol:
-                out.append(
-                    Violation(
-                        "identity of indiscernibles",
-                        (i, j),
-                        f"d({i},{j}) = {d[i, j]} for distinct points",
-                    )
+    for i in np.flatnonzero(np.abs(np.diag(d)) > tol).tolist():
+        out.append(Violation("zero-diagonal", (i,), f"d({i},{i}) = {d[i, i]}"))
+    iu, ju = np.triu_indices(n, 1)
+    upper, lower = d[iu, ju], d[ju, iu]
+    asym = np.abs(upper - lower) > tol
+    ident = upper <= tol
+    neg = (upper < -tol) | (lower < -tol)
+    for p in np.flatnonzero(asym | ident | neg).tolist():
+        i, j = int(iu[p]), int(ju[p])
+        if asym[p]:
+            out.append(Violation("symmetry", (i, j), f"d({i},{j}) != d({j},{i})"))
+        if ident[p]:
+            out.append(
+                Violation(
+                    "identity of indiscernibles",
+                    (i, j),
+                    f"d({i},{j}) = {d[i, j]} for distinct points",
                 )
-            if d[i, j] < -tol or d[j, i] < -tol:
-                out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
+            )
+        if neg[p]:
+            out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
+    # One row i at a time keeps the n^3 scan in O(n^2) memory; argwhere
+    # walks (j, k) in row-major order, so violations come in (i, j, k) order.
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i, j] > d[i, k] + d[k, j] + tol:
-                    out.append(
-                        Violation(
-                            "triangle inequality",
-                            (i, j, k),
-                            f"d({i},{j}) > d({i},{k}) + d({k},{j})",
-                        )
-                    )
+        bad = d[i][:, None] > d[i][None, :] + d.T + tol
+        for j, k in np.argwhere(bad).tolist():
+            out.append(
+                Violation(
+                    "triangle inequality",
+                    (i, j, k),
+                    f"d({i},{j}) > d({i},{k}) + d({k},{j})",
+                )
+            )
     g = poset.order_matrix
-    for i in range(n):
-        if not g[i, i]:
-            out.append(Violation("reflexivity", (i,), f"({i},{i}) missing"))
-    sym = g & g.T
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sym[i, j]:
-                out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
+    for i in np.flatnonzero(~np.diag(g)).tolist():
+        out.append(Violation("reflexivity", (i,), f"({i},{i}) missing"))
+    for i, j in np.argwhere(np.triu(g & g.T, 1)).tolist():
+        out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
     closure = g @ g
-    for i in range(n):
-        for j in range(n):
-            if closure[i, j] and not g[i, j]:
-                out.append(Violation("transitivity", (i, j), f"({i},{j}) missing"))
+    for i, j in np.argwhere(closure & ~g).tolist():
+        out.append(Violation("transitivity", (i, j), f"({i},{j}) missing"))
     return ValidationReport(tuple(out))
 
 
@@ -171,28 +177,67 @@ def _check_cap(n, triple_cap):
         )
 
 
-def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
-    """Yield every radiality violation, RD1 triples first, in lexicographic
-    order of (kind, x, y, z). Witnesses require lhs < rhs - tol."""
+def _witness_blocks(poset, tol, triple_cap):
+    """Yield (kind, start, mask, lhs, rhs) over blocks of x, RD1 blocks first.
+
+    ``mask[c, y, z]`` marks the witness (kind, (start + c, y, z)); ``lhs`` and
+    ``rhs`` broadcast to the mask's shape. A block holds at most about
+    SCAN_BLOCK triples (one x at least), so the scan runs in O(n^2) memory.
+    """
     _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
     strict = _strict_matrix(poset)
     n = poset.n
-    for x in range(n):
-        for y in range(n):
-            if g[y, x]:  # not x >=* y
-                continue
-            bad = strict[y] & (d[x] < d[x, y] - tol)
-            for z in np.flatnonzero(bad):
-                yield RadialityWitness("RD1", (x, y, int(z)), float(d[x, z]), float(d[x, y]))
-    for x in range(n):
-        for y in range(n):
-            if not strict[x, y]:
-                continue
-            bad = ~g[:, y] & (d[x] < d[y] - tol)
-            for z in np.flatnonzero(bad):
-                yield RadialityWitness("RD2", (x, y, int(z)), float(d[x, z]), float(d[y, z]))
+    most = max(1, SCAN_BLOCK // max(n * n, 1))
+    for kind in ("RD1", "RD2"):
+        # blocks grow from one x, so a search for the first witness stays cheap
+        start, step = 0, 1
+        while start < n:
+            xs = slice(start, start + step)
+            lhs = d[xs][:, None, :]  # d(x, z)
+            if kind == "RD1":  # x >=* y > z
+                rhs = d[xs][:, :, None]  # d(x, y)
+                mask = ~g[:, xs].T[:, :, None] & strict
+            else:  # x > y >=* z
+                rhs = d[None]  # d(y, z)
+                mask = strict[xs][:, :, None] & ~g.T
+            mask &= lhs < rhs - tol
+            yield kind, start, mask, lhs, rhs
+            start, step = start + step, min(2 * step, most)
+
+
+def _witness(d, kind, x, y, z):
+    rhs = d[x, y] if kind == "RD1" else d[y, z]
+    return RadialityWitness(kind, (x, y, z), float(d[x, z]), float(rhs))
+
+
+def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
+    """Yield every radiality violation, RD1 triples first, in lexicographic
+    order of (kind, x, y, z). Witnesses require lhs < rhs - tol."""
+    for kind, start, mask, _, _ in _witness_blocks(poset, tol, triple_cap):
+        for c, y, z in np.argwhere(mask).tolist():
+            yield _witness(poset.dist, kind, start + c, y, z)
+
+
+def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
+    """The witness of largest ratio rhs/lhs, or None if the poset is radial.
+
+    Ties go to the first in ``iter_radiality_witnesses`` order.
+    """
+    best, best_ratio = None, -np.inf
+    for kind, start, mask, lhs, rhs in _witness_blocks(poset, tol, triple_cap):
+        hit = np.nonzero(mask)
+        if not hit[0].size:
+            continue
+        # nonzero lists hits in row-major order, so argmax finds the first maximum
+        ratio = np.broadcast_to(rhs, mask.shape)[hit] / np.broadcast_to(lhs, mask.shape)[hit]
+        k = int(np.argmax(ratio))
+        if ratio[k] > best_ratio:
+            best_ratio = ratio[k]
+            c, y, z = (int(a[k]) for a in hit)
+            best = _witness(poset.dist, kind, start + c, y, z)
+    return best
 
 
 def check_radiality(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
@@ -239,17 +284,12 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
         raise StructureError("point dimension must match the cone")
     if labels is None:
         labels = tuple(",".join(format(c, "g") for c in p) for p in points)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = cones.norm_value(points[i] - points[j], cone.norm)
-    order = set()
-    for i in range(n):
-        order.add((i, i))
-        for j in range(n):
-            if i != j and cones.contains(cone, points[i] - points[j], tol):
-                order.add((i, j))
-    return FiniteMetricPoset(labels=tuple(labels), dist=dist, order=frozenset(order))
+    diff = points[:, None, :] - points[None, :, :]
+    dist = cones.norm_many(diff, cone.norm)
+    geq = cones.contains_many(cone, diff.reshape(n * n, -1), tol).reshape(n, n)
+    rows, cols = np.nonzero(geq | np.eye(n, dtype=bool))
+    order = frozenset(zip(rows.tolist(), cols.tolist()))
+    return FiniteMetricPoset(labels=tuple(labels), dist=dist, order=order)
 
 
 def grid_instance(dim, side, spacing, cone, size_cap=4096, tol=DEFAULT_TOL):
@@ -267,6 +307,7 @@ def chain_instance(positions):
     pos = np.sort(np.asarray(positions, dtype=float))
     n = pos.shape[0]
     dist = np.abs(pos[:, None] - pos[None, :])
-    order = frozenset((i, j) for i in range(n) for j in range(n) if pos[i] >= pos[j])
+    rows, cols = np.nonzero(pos[:, None] >= pos[None, :])
+    order = frozenset(zip(rows.tolist(), cols.tolist()))
     labels = tuple(format(p, "g") for p in pos)
     return FiniteMetricPoset(labels=labels, dist=dist, order=order)

@@ -218,8 +218,3 @@ def busemann_limit(space, a, t_schedule=None, tol=DEFAULT_TOL):
                 f"Busemann partial values increased along the schedule: {partials}"
             )
     return BusemannValue(value=partials[-1], horizon=schedule[-1], partials=tuple(partials))
-
-
-def closed_form_busemann(space, a):
-    """Closed-form evaluation wrapped as a BusemannValue (horizon = +inf)."""
-    return BusemannValue(value=float(space.busemann(a)), horizon=math.inf)
