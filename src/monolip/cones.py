@@ -103,7 +103,7 @@ def _kernel_kind(cone):
     "trivial" is the cone {0}: no generators, or halfspace normals that
     positively span R^m. "orthant" is a cone every given form of which is
     positive multiples of the standard basis (projection clamps). The rest
-    are "generated" (NNLS) or "halfspace" (Dykstra).
+    are "generated" or "halfspace" (both NNLS, see ``project_many``).
     """
     if cone.generators is not None:
         if cone.generators.shape[0] == 0:
@@ -234,13 +234,13 @@ def dual_contains(cone, v, tol=DEFAULT_TOL):
     return resid <= tol * (1.0 + np.linalg.norm(v))
 
 
-def project_many(cone, V, tol=DEFAULT_TOL, max_iter=None):
+def project_many(cone, V):
     """Euclidean metric projection of each row of the (k, m) array ``V``.
 
     The trivial cone maps to 0 and the orthant (or scalar ray) clamps.
-    Other generated cones go row by row through nonnegative least squares;
-    other halfspace cones through Dykstra's cyclic projection with
-    corrections, verified against the KKT conditions on exit.
+    Other cones go row by row through nonnegative least squares: on the
+    generators, or, for a halfspace cone C = {x : Nx >= 0}, by Moreau as
+    P_C(v) = v - P_cone(-N)(v), since cone(-N) is the polar of C.
     """
     V = _rows(cone, V)
     if cone._kind == "trivial":
@@ -250,40 +250,13 @@ def project_many(cone, V, tol=DEFAULT_TOL, max_iter=None):
     if cone._kind == "generated":
         rows = [_nnls_fit(cone.generators, v)[0] for v in V]
     else:
-        rows = [_project_halfspaces(cone.halfspaces, v, tol, max_iter) for v in V]
+        rows = [v - _nnls_fit(-cone.halfspaces, v)[0] for v in V]
     return np.array(rows).reshape(V.shape)
 
 
-def project_cone(cone, a, tol=DEFAULT_TOL, max_iter=None):
+def project_cone(cone, a):
     """Euclidean metric projection of ``a`` onto the cone."""
-    return project_many(cone, _one_row(cone, a), tol, max_iter)[0]
-
-
-def _project_halfspaces(normals, a, tol, max_iter):
-    if max_iter is None:
-        max_iter = 200 * max(len(normals), 1) + 200
-    x = a.copy()
-    corrections = np.zeros((len(normals), a.shape[0]))
-    nn = np.einsum("ij,ij->i", normals, normals)
-    scale = 1.0 + np.linalg.norm(a)
-    for _ in range(max_iter):
-        x_prev = x.copy()
-        for j, n in enumerate(normals):
-            y = x + corrections[j]
-            viol = min(0.0, float(n @ y) / nn[j])
-            proj = y - viol * n
-            corrections[j] = y - proj
-            x = proj
-        if np.linalg.norm(x - x_prev) <= 1e-13 * scale:
-            break
-    else:
-        raise ConvergenceError("halfspace projection did not converge")
-    # KKT: x in C, residual orthogonal to x, residual in the polar cone.
-    if np.any(normals @ x < -10 * tol * scale):
-        raise ConvergenceError("projection left the cone")
-    if abs(float((a - x) @ x)) > 1e-7 * scale * scale:
-        raise ConvergenceError("projection residual not orthogonal")
-    return x
+    return project_many(cone, _one_row(cone, a))[0]
 
 
 @dataclass(frozen=True)
@@ -294,10 +267,10 @@ class MoreauSplit:
     part_polar: np.ndarray
 
 
-def moreau_split(cone, a, tol=DEFAULT_TOL):
+def moreau_split(cone, a):
     """Moreau decomposition of ``a`` against the cone and its polar."""
     a = np.asarray(a, dtype=float)
-    p = project_cone(cone, a, tol=tol)
+    p = project_cone(cone, a)
     return MoreauSplit(part_cone=p, part_polar=a - p)
 
 

@@ -1,23 +1,25 @@
 """Construction and verification of order-preserving Lipschitz extensions.
 
-Covers four routes:
+Each class of target has one route:
 
 * affine interpolation of maps defined on a finite subset of the real line
   (``line_extend``),
-* exact linear programming for scalar targets and for polyhedral-norm
-  vector targets (L1/LINF),
+* shortest paths for scalar targets: the constraints are difference
+  constraints, so the least K and the greatest extension have closed forms
+  (McShane 1934) in the shortest-path lengths of one digraph on X,
+* exact linear programming for polyhedral-norm vector targets (L1/LINF);
+  the LP also serves as the independent oracle for the scalar route,
 * Dykstra alternating projections for Euclidean vector targets
-  (``feasibility_at_K``),
-* bisection over the Lipschitz constant to estimate the extension modulus
-  of a single problem instance (``estimate_e``).
+  (``feasibility_at_K``), the only route ``estimate_e`` bisects over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse.csgraph
 
 from . import cones, poset as poset_mod
 from .errors import (
@@ -197,6 +199,52 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
     if scalar_query:
         return out[0]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Shortest paths (scalar targets)
+# ---------------------------------------------------------------------------
+
+
+class _ScalarPaths:
+    """The exact scalar route, for one problem and every K at once.
+
+    ``D[a, x]`` is D*(s_a, x), the shortest-path length from anchor s_a to x
+    in the digraph on X whose edge i -> j costs 0 when the order forces
+    F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise. Any
+    order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
+    U(x) = min_s f(s) + K D*(s, x) meets every constraint, so an extension
+    exists at K iff f(b) - f(a) <= K D*(a, b) on all anchor pairs, and U is
+    then the greatest extension.
+    """
+
+    def __init__(self, problem):
+        g = problem.domain.order_matrix
+        # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
+        up, down = cones.contains_many(problem.target, [[1.0], [-1.0]])
+        free = (g & ~down) | (g.T & ~up)
+        # Dense input would read the zero-cost edges as missing.
+        graph = scipy.sparse.csgraph.csgraph_from_dense(
+            np.where(free, 0.0, problem.domain.dist), null_value=np.inf
+        )
+        self.D = scipy.sparse.csgraph.shortest_path(graph, method="D", indices=problem.subset)
+        self.f = problem.f[:, 0]
+        self.tol = problem.tol
+        self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
+        self.rise = self.f[None, :] - self.f[:, None]  # f(b) - f(a)
+        # D*(a, b) = 0 only where the order forces f(b) <= f(a), which
+        # construction checked. K_min is exactly 1 iff K = 1 fits, so
+        # rounding cannot report 1 + 1 ulp.
+        apart = self.path > 0.0
+        worst = float(np.max(self.rise[apart] / self.path[apart], initial=1.0))
+        self.k_min = 1.0 if self.fits(1.0) else worst
+
+    def fits(self, K):
+        bound = K * self.path
+        return bool(np.all(self.rise <= bound + self.tol * (1.0 + bound)))
+
+    def values(self, K):
+        return np.min(self.f[:, None] + K * self.D, axis=0)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +512,15 @@ def _scalar_relaxation(problem, K, seed=0):
         )
     except StructureError:
         return None
-    status, _ = lp_feasible_at_K(relaxed, K)
-    return status
+    return FEASIBLE if _ScalarPaths(relaxed).fits(K) else INFEASIBLE
 
 
 def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
     """Decide whether an order-preserving K-Lipschitz extension exists.
 
-    Scalar and polyhedral-norm (L1/LINF) targets are decided exactly by
-    linear programming. Euclidean vector targets run Dykstra alternating
+    Scalar targets are decided exactly by shortest paths (the values are
+    the greatest extension), polyhedral-norm (L1/LINF) targets by linear
+    programming. Euclidean vector targets run Dykstra alternating
     projections, with a monotone-direction scalar relaxation providing the
     only infeasibility certificate; otherwise the outcome is Unknown after
     ``max_iter`` sweeps.
@@ -487,29 +535,22 @@ def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, see
         status = FEASIBLE if res.max() <= max(tol, DEFAULT_TOL) else INFEASIBLE
         return ExtensionResult(values=values, K=K, status=status, residuals=res)
 
-    if problem.is_scalar or problem.target.norm in ("l1", "linf"):
+    if problem.is_scalar:
+        route = _ScalarPaths(problem)
+        status, values = (FEASIBLE, route.values(K)) if route.fits(K) else (INFEASIBLE, None)
+    elif problem.target.norm in ("l1", "linf"):
         status, values = lp_feasible_at_K(problem, K)
-        if status == INFEASIBLE:
-            return ExtensionResult(
-                values=np.zeros((problem.domain.n, problem.target.dim)),
-                K=K,
-                status=INFEASIBLE,
-                residuals=ResidualReport(np.inf, np.inf, np.inf),
-            )
-        return ExtensionResult(
-            values=values, K=K, status=FEASIBLE,
-            residuals=verify_extension(problem, values, K),
-        )
-
-    relax = _scalar_relaxation(problem, K, seed=seed)
-    if relax == INFEASIBLE:
+    elif _scalar_relaxation(problem, K, seed=seed) == INFEASIBLE:
+        status, values = INFEASIBLE, None
+    else:
+        status, values = _dykstra(problem, K, tol, max_iter)
+    if status == INFEASIBLE:
         return ExtensionResult(
             values=np.zeros((problem.domain.n, problem.target.dim)),
             K=K,
             status=INFEASIBLE,
             residuals=ResidualReport(np.inf, np.inf, np.inf),
         )
-    status, values = _dykstra(problem, K, tol, max_iter)
     return ExtensionResult(
         values=values, K=K, status=status,
         residuals=verify_extension(problem, values, K),
@@ -523,11 +564,14 @@ def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, see
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Bisection outcome for the minimal admissible Lipschitz constant.
+    """The minimal admissible Lipschitz constant of one problem.
 
-    ``K`` is the bracket midpoint; ``conclusive`` is False when an Unknown
-    feasibility status touched the final bracket, in which case (lo, hi)
-    is the honest answer.
+    Exact routes (shortest paths for scalar targets, one LP for L1/LINF
+    targets) give ``K = lo = hi``, conclusive, with an empty ``trace``.
+    Euclidean vector targets are bisected: ``K`` is the bracket midpoint,
+    ``trace`` lists each (K, status) tried, and ``conclusive`` is False
+    when an Unknown feasibility status touched the final bracket, in which
+    case (lo, hi) is the honest answer.
     """
 
     K: float
@@ -536,22 +580,31 @@ class EstimateResult:
     conclusive: bool
     trace: tuple
 
+    @classmethod
+    def exact(cls, K):
+        return cls(K=K, lo=K, hi=K, conclusive=True, trace=())
+
 
 def estimate_e(problem, tol=BISECT_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
-    """Binary search for the minimal K with a feasible extension.
+    """The minimal K with a feasible extension: exact for scalar and
+    L1/LINF targets, by bisection to ``tol`` for Euclidean vector targets.
 
     This is a per-f quantity: a lower bound on the supremal extension
     modulus of (X, S, target) over all admissible maps f.
     """
+    if len(problem.subset) <= 1 or len(problem.subset) == problem.domain.n:
+        return EstimateResult.exact(1.0)
+    if problem.is_scalar:
+        return EstimateResult.exact(_ScalarPaths(problem).k_min)
+    if problem.target.norm in ("l1", "linf"):
+        return EstimateResult.exact(max(1.0, min_lipschitz_lp(problem)[0]))
+
     trace = []
 
     def feasible(K):
         res = feasibility_at_K(problem, K, max_iter=max_iter, seed=seed)
         trace.append((float(K), res.status))
         return res.status
-
-    if len(problem.subset) <= 1 or len(problem.subset) == problem.domain.n:
-        return EstimateResult(K=1.0, lo=1.0, hi=1.0, conclusive=True, trace=())
 
     s0 = feasible(1.0)
     if s0 == FEASIBLE:
@@ -588,24 +641,21 @@ def estimate_e(problem, tol=BISECT_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
 
 
 def scalar_extend(problem):
-    """Order-preserving Lipschitz extension into (R, >=).
+    """Order-preserving Lipschitz extension into (R, >=), by shortest paths.
 
     On radial domains an extension at K = 1 exists and is returned with
-    status Feasible; otherwise the minimal-K LP extension is returned with
-    status Infeasible (no valid 1-Lipschitz extension).
+    status Feasible; otherwise the extension at the minimal K is returned
+    with status Infeasible (no valid 1-Lipschitz extension). The values are
+    the greatest extension at the returned K.
     """
     if not problem.is_scalar:
         raise StructureError("scalar_extend needs a scalar target")
-    status, values = lp_feasible_at_K(problem, 1.0)
-    if status == FEASIBLE:
-        return ExtensionResult(
-            values=values, K=1.0, status=FEASIBLE,
-            residuals=verify_extension(problem, values, 1.0),
-        )
-    k_min, values = min_lipschitz_lp(problem)
+    route = _ScalarPaths(problem)
+    K = route.k_min
+    values = route.values(K)
     return ExtensionResult(
-        values=values, K=k_min, status=INFEASIBLE,
-        residuals=verify_extension(problem, values, k_min),
+        values=values, K=K, status=FEASIBLE if K == 1.0 else INFEASIBLE,
+        residuals=verify_extension(problem, values, K),
     )
 
 

@@ -250,12 +250,11 @@ def is_radially_convex(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     _check_cap(poset.n, triple_cap)
     d = poset.dist
     strict = _strict_matrix(poset)
-    n = poset.n
-    for x in range(n):
-        for y in np.flatnonzero(strict[x]):
-            bound = np.maximum(d[x, y], d[y])
-            if np.any(strict[y] & (d[x] < bound - tol)):
-                return False
+    for x in range(poset.n):
+        # bad[y, z]: x > y > z with d(x, z) < max(d(x, y), d(y, z))
+        bad = strict[x][:, None] & strict & (d[x][None, :] < np.maximum(d[x][:, None], d) - tol)
+        if bad.any():
+            return False
     return True
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import monolip as ml
 from monolip import cones, obstruction, poset as poset_mod, spaces
-from monolip.errors import ConvergenceError, StructureError
+from monolip.errors import StructureError
 
 from conftest import naive_radiality_witnesses, random_pointed_cone
 
@@ -82,23 +82,26 @@ def test_kernel_matches_per_vector_nnls(kind, seed):
         away &= member | (worst < -1e-6 * scale)
     assume(away.all())
     np.testing.assert_array_equal(cones.contains_many(cone, V), member)
-    if kind == "halfspace":
-        try:
-            for v in V:
-                cones._project_halfspaces(cone.halfspaces, v, cones.DEFAULT_TOL, None)
-        except ConvergenceError:
-            # The per-row Dykstra fallback is kept as it was: on thin cones
-            # it can stop at its iteration cap, and then so does the kernel.
-            with pytest.raises(ConvergenceError):
-                cones.project_many(cone, V)
-            return
     proj = cones.project_many(cone, V)
-    atol = 1e-8 if kind == "halfspace" else 1e-12
     expect = np.array([p for p, _ in ref])
-    np.testing.assert_allclose(proj, expect, rtol=0.0, atol=atol * scale.max())
+    np.testing.assert_allclose(proj, expect, rtol=0.0, atol=1e-12 * scale.max())
     for v, p, m in zip(V, proj, member):
         assert ml.contains(cone, v) == m
         np.testing.assert_array_equal(ml.project_cone(cone, v), p)
+
+
+def test_halfspace_projection_on_thin_cone():
+    # A thin full-dimensional cone on which cyclic halfspace projection
+    # stalled at its iteration cap for about a third of random vectors.
+    normals = np.array([[0.036, 0.008, -0.999], [-0.229, 0.029, -0.973], [0.258, 0.114, 0.959]])
+    cone = ml.ConeOrder(dim=3, halfspaces=normals)
+    rays = np.array(cones.extreme_rays(normals, 3))
+    V = np.random.default_rng(0).normal(size=(300, 3)) * 3.0
+    expect = np.array([cones._nnls_fit(rays, v)[0] for v in V])
+    scale = 1.0 + np.linalg.norm(V, axis=1)
+    proj = cones.project_many(cone, V)
+    assert np.all(np.abs(proj - expect) <= 1e-12 * scale[:, None])
+    assert cones.contains_many(cone, proj).all()
 
 
 def test_kernel_rejects_misshapen_rows():
@@ -214,6 +217,33 @@ def test_e2_lower_bound_matches_witness_maximum(seed):
         return
     assert (cert.witness.kind, cert.witness.triple) == best[:2]
     assert bound == best[3] / best[2]
+
+
+def naive_radially_convex(poset, tol=1e-9):
+    """d(x, z) >= max(d(x, y), d(y, z)) for every x > y > z, as three loops."""
+    n, d, geq = poset.n, poset.dist, poset.geq
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if x != y and y != z and geq(x, y) and geq(y, z):
+                    if d[x, z] < max(d[x, y], d[y, z]) - tol:
+                        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS)
+def test_is_radially_convex_matches_triple_loop(seed):
+    rng = np.random.default_rng(seed)
+    # a pointed planar cone wider than the orthant lets d(x, z) < d(x, y)
+    cone = random_pointed_cone(rng, dim=2, n_gen=int(rng.integers(2, 5)))
+    pts = np.unique(np.round(rng.uniform(-3, 3, size=(int(rng.integers(3, 12)), 2)), 1), axis=0)
+    p = ml.poset_from_points(pts, cone)
+    if rng.random() < 0.5:  # the same order on an independent metric
+        q = rng.uniform(-3, 3, size=(p.n, 2))
+        dist = np.linalg.norm(q[:, None] - q[None], axis=2)
+        p = ml.FiniteMetricPoset(labels=p.labels, dist=dist, order=p.order)
+    assert poset_mod.is_radially_convex(p) == naive_radially_convex(p)
 
 
 # ---------------------------------------------------------------------------

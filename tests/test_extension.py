@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import monolip as ml
 from monolip import cones, extension
 from monolip.errors import RadialityRequiredError, StructureError
 
-from conftest import monotone_line_map
+from conftest import monotone_line_map, random_metric_poset, random_radial_poset
 
 SQRT25 = math.sqrt(2.5)
 
@@ -146,11 +147,13 @@ def test_feasibility_s_equals_x():
 
 def test_feasibility_monotone_in_K():
     p = witness_scalar_problem()
-    est = ml.estimate_e(p)
-    feasible_ks = sorted(k for k, status in est.trace if status == extension.FEASIBLE)
-    infeasible_ks = [k for k, status in est.trace if status == extension.INFEASIBLE]
-    if feasible_ks and infeasible_ks:
-        assert max(infeasible_ks) < min(feasible_ks)
+    k_min = ml.estimate_e(p).K
+    grid = k_min * np.concatenate([np.linspace(0.5, 1.5, 41), [1.0 - 1e-6, 1.0 + 1e-6]])
+    trace = [(K, ml.feasibility_at_K(p, K).status) for K in grid]
+    feasible_ks = sorted(k for k, status in trace if status == extension.FEASIBLE)
+    infeasible_ks = [k for k, status in trace if status == extension.INFEASIBLE]
+    assert feasible_ks and infeasible_ks
+    assert max(infeasible_ks) < min(feasible_ks)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,82 @@ def test_componentwise_requires_radial_domain():
     with pytest.raises(RadialityRequiredError) as info:
         ml.componentwise_extend(p)
     assert info.value.witness.kind == "RD1"
+
+
+# ---------------------------------------------------------------------------
+# the shortest-path scalar route against the LP oracle
+# ---------------------------------------------------------------------------
+
+
+def _fitted_problem(rng, domain):
+    """A scalar problem on 2..n-1 anchors with a map from the LP fit."""
+    size = int(rng.integers(2, domain.n))
+    subset = tuple(sorted(int(s) for s in rng.choice(domain.n, size=size, replace=False)))
+    raw = rng.normal(size=size) * 3.0
+    f = extension.fit_monotone_lipschitz(domain, subset, raw)
+    return ml.ExtensionProblem(domain=domain, subset=subset, target=ml.scalar_cone(), f=f[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scalar_route_matches_lp_oracle(seed):
+    rng = np.random.default_rng(seed)
+    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12))
+    k_min = ml.estimate_e(p).K
+    k_lp = max(1.0, ml.min_lipschitz_lp(p)[0])
+    assert abs(k_min - k_lp) <= 1e-9 * k_lp
+    res = ml.scalar_extend(p)
+    lp_status, _ = extension.lp_feasible_at_K(p, 1.0)
+    assert res.status == lp_status
+    assert res.K == (1.0 if res.status == extension.FEASIBLE else k_min)
+    assert ml.verify_extension(p, res.values, res.K).max() <= 1e-9
+    for K in (k_min, k_min * (1.0 + 1e-6), 2.0 * k_min):
+        at_k = ml.feasibility_at_K(p, K)
+        assert at_k.status == extension.FEASIBLE
+        assert at_k.residuals.max() <= 1e-9
+    if k_min > 1.0:
+        assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status == extension.INFEASIBLE
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_radial_domain_extends_at_one(seed):
+    rng = np.random.default_rng(seed)
+    domain = random_radial_poset(rng)
+    assume(domain.n >= 3)
+    p = _fitted_problem(rng, domain)
+    assert ml.estimate_e(p).K == 1.0
+    assert ml.scalar_extend(p).status == extension.FEASIBLE
+
+
+def test_scalar_route_trivial_target_forces_equal_values():
+    # 1 >= 2 in the witness poset, so F(2) = F(1) = 2 on the trivial order,
+    # and d(0, 2) = sqrt(2) forces K = 2 / sqrt(2).
+    p = ml.ExtensionProblem(
+        domain=witness_poset(), subset=(0, 1), target=ml.trivial_cone(1), f=[[0.0], [2.0]]
+    )
+    assert ml.estimate_e(p).K == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert ml.estimate_e(p).K == pytest.approx(ml.min_lipschitz_lp(p)[0], abs=1e-9)
+    res = ml.scalar_extend(p)
+    assert res.status == extension.INFEASIBLE
+    assert res.values[2, 0] == pytest.approx(2.0, abs=1e-12)
+    assert res.residuals.max() <= 1e-9
+
+
+def test_scalar_route_reversed_ray_mirrors_the_scalar_order():
+    # On the ray R- an order-preserving map reverses the reals, so -f on R-
+    # needs the same K as f on R+.
+    p = ml.ExtensionProblem(
+        domain=witness_poset(),
+        subset=(0, 1),
+        target=ml.ConeOrder(dim=1, generators=[[-1.0]]),
+        f=[[-math.sqrt(5)], [0.0]],
+    )
+    res = ml.scalar_extend(p)
+    assert res.status == extension.INFEASIBLE
+    assert res.K == pytest.approx(SQRT25, abs=1e-12)
+    assert res.residuals.max() <= 1e-9
+    assert ml.feasibility_at_K(p, 1.0).status == extension.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------

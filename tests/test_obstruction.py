@@ -82,7 +82,6 @@ def test_certify_rd1_bound():
     p = rd1_poset()
     cert = ml.certify_obstruction(p, ml.check_radiality(p), vertical_ray())
     assert cert.bound == pytest.approx(SQRT25, abs=1e-8)
-    assert all(step.holds() for step in cert.chain)
 
 
 def test_certify_rd2_bound():
