@@ -232,12 +232,25 @@ class _ScalarPaths:
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
         self.rise = self.f[None, :] - self.f[:, None]  # f(b) - f(a)
-        # D*(a, b) = 0 only where the order forces f(b) <= f(a), which
-        # construction checked. K_min is exactly 1 iff K = 1 fits, so
-        # rounding cannot report 1 + 1 ulp.
+
+    def least_K(self):
+        """K_min = max(1, max (f(b) - f(a)) / D*(a, b)) over anchor pairs.
+
+        D*(a, b) = 0 where a chain of zero-cost edges forces f(b) <= f(a).
+        Construction checks only directly comparable anchors, so a rise
+        along a longer chain (a zigzag on {0}, or an order that is not
+        transitive) leaves no K, and this raises. K_min is exactly 1 iff
+        K = 1 fits, so rounding cannot report 1 + 1 ulp.
+        """
         apart = self.path > 0.0
-        worst = float(np.max(self.rise[apart] / self.path[apart], initial=1.0))
-        self.k_min = 1.0 if self.fits(1.0) else worst
+        if np.any(self.rise[~apart] > self.tol):
+            raise ConvergenceError(
+                "no Lipschitz constant admits an extension: a chain of "
+                "comparable points forces f(b) <= f(a) where f(b) > f(a)"
+            )
+        if self.fits(1.0):
+            return 1.0
+        return float(np.max(self.rise[apart] / self.path[apart]))
 
     def fits(self, K):
         bound = K * self.path
@@ -595,7 +608,7 @@ def estimate_e(problem, tol=BISECT_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
     if len(problem.subset) <= 1 or len(problem.subset) == problem.domain.n:
         return EstimateResult.exact(1.0)
     if problem.is_scalar:
-        return EstimateResult.exact(_ScalarPaths(problem).k_min)
+        return EstimateResult.exact(_ScalarPaths(problem).least_K())
     if problem.target.norm in ("l1", "linf"):
         return EstimateResult.exact(max(1.0, min_lipschitz_lp(problem)[0]))
 
@@ -646,15 +659,16 @@ def scalar_extend(problem):
     On radial domains an extension at K = 1 exists and is returned with
     status Feasible; otherwise the extension at the minimal K is returned
     with status Infeasible (no valid 1-Lipschitz extension). The values are
-    the greatest extension at the returned K.
+    the greatest extension at the returned K. Raises ConvergenceError when
+    no K admits an extension.
     """
     if not problem.is_scalar:
         raise StructureError("scalar_extend needs a scalar target")
     route = _ScalarPaths(problem)
-    K = route.k_min
+    K = route.least_K()
     values = route.values(K)
     return ExtensionResult(
-        values=values, K=K, status=FEASIBLE if K == 1.0 else INFEASIBLE,
+        values=values, K=K, status=FEASIBLE if route.fits(1.0) else INFEASIBLE,
         residuals=verify_extension(problem, values, K),
     )
 

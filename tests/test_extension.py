@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import monolip as ml
 from monolip import cones, extension
-from monolip.errors import RadialityRequiredError, StructureError
+from monolip.errors import ConvergenceError, RadialityRequiredError, StructureError
 
 from conftest import monotone_line_map, random_metric_poset, random_radial_poset
 
@@ -349,6 +349,35 @@ def test_scalar_route_trivial_target_forces_equal_values():
     assert res.status == extension.INFEASIBLE
     assert res.values[2, 0] == pytest.approx(2.0, abs=1e-12)
     assert res.residuals.max() <= 1e-9
+
+
+def _zigzag_problem(order, target):
+    # Anchors a = 0 and b = 1 are not directly comparable, so construction
+    # accepts f(b) > f(a); the chain through c = 2 still forces f(b) <= f(a).
+    domain = ml.FiniteMetricPoset(
+        labels=("a", "b", "c"), dist=1.0 - np.eye(3), order=frozenset(order)
+    )
+    return ml.ExtensionProblem(domain=domain, subset=(0, 1), target=target, f=[[0.0], [0.5]])
+
+
+@pytest.mark.parametrize(
+    "order, target",
+    [
+        ({(0, 2), (1, 2)}, ml.trivial_cone(1)),  # a >= c <= b on {0}
+        ({(0, 2), (2, 1)}, ml.scalar_cone()),  # a >= c >= b, not transitive
+    ],
+    ids=["trivial-zigzag", "ray-intransitive"],
+)
+def test_scalar_route_raises_when_a_chain_blocks_every_K(order, target):
+    p = _zigzag_problem(order, target)
+    with pytest.raises(ConvergenceError):
+        ml.scalar_extend(p)
+    with pytest.raises(ConvergenceError):
+        ml.estimate_e(p)
+    with pytest.raises(ConvergenceError):
+        ml.min_lipschitz_lp(p)
+    for K in (1.0, 2.0, 1e6):
+        assert ml.feasibility_at_K(p, K).status == extension.INFEASIBLE
 
 
 def test_scalar_route_reversed_ray_mirrors_the_scalar_order():
