@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ConvergenceError, NoDirectionError, StructureError
 
@@ -102,8 +101,10 @@ def _kernel_kind(cone):
 
     "trivial" is the cone {0}: no generators, or halfspace normals that
     positively span R^m. "orthant" is a cone every given form of which is
-    positive multiples of the standard basis (projection clamps). The rest
-    are "generated" or "halfspace" (both NNLS, see ``project_many``).
+    positive multiples of the standard basis (projection clamps). "ray" is
+    any other cone given by one nonzero generator (projection in closed
+    form). The rest are "generated" or "halfspace" (both NNLS, see
+    ``project_many``).
     """
     if cone.generators is not None:
         if cone.generators.shape[0] == 0:
@@ -113,6 +114,8 @@ def _kernel_kind(cone):
     forms = [a for a in (cone.generators, cone.halfspaces) if a is not None]
     if all(_is_scaled_basis(a) for a in forms):
         return "orthant"
+    if cone.generators is not None and cone.generators.shape[0] == 1:
+        return "ray"
     return "generated" if cone.generators is not None else "halfspace"
 
 
@@ -154,11 +157,13 @@ def scalar_cone(norm="l2"):
 
 def _nnls_fit(generators, v):
     """Best conic-combination approximation of v; returns (point, residual)."""
+    from scipy.optimize import lsq_linear, nnls
+
     v = np.asarray(v, dtype=float)
     if generators.shape[0] == 0:
         return np.zeros_like(v), float(np.linalg.norm(v))
     basis = generators.T
-    coeffs, _ = scipy.optimize.nnls(basis, v)
+    coeffs, _ = nnls(basis, v)
     point = basis @ coeffs
     gap = v - point
     # The active-set NNLS occasionally misconverges (and then reports a
@@ -170,7 +175,7 @@ def _nnls_fit(generators, v):
     if np.any(generators @ gap > slack) or abs(gap @ point) > 1e-9 * scale**2:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            alt = scipy.optimize.lsq_linear(basis, v, bounds=(0.0, np.inf), tol=1e-14)
+            alt = lsq_linear(basis, v, bounds=(0.0, np.inf), tol=1e-14)
         candidate = basis @ alt.x
         if np.linalg.norm(v - candidate) <= np.linalg.norm(gap):
             point, gap = candidate, v - candidate
@@ -237,16 +242,22 @@ def dual_contains(cone, v, tol=DEFAULT_TOL):
 def project_many(cone, V):
     """Euclidean metric projection of each row of the (k, m) array ``V``.
 
-    The trivial cone maps to 0 and the orthant (or scalar ray) clamps.
-    Other cones go row by row through nonnegative least squares: on the
-    generators, or, for a halfspace cone C = {x : Nx >= 0}, by Moreau as
-    P_C(v) = v - P_cone(-N)(v), since cone(-N) is the polar of C.
+    The trivial cone maps to 0 and the orthant (or scalar ray) clamps. A
+    ray cone(g) maps v to max(<v, g>, 0) g / <g, g>. Other cones go row by
+    row through nonnegative least squares: on the generators, or, for a
+    halfspace cone C = {x : Nx >= 0}, by Moreau as P_C(v) = v - P_cone(-N)(v),
+    since cone(-N) is the polar of C.
     """
     V = _rows(cone, V)
     if cone._kind == "trivial":
         return np.zeros_like(V)
     if cone._kind == "orthant":
         return np.maximum(V, 0.0)
+    if cone._kind == "ray":
+        # vecdot takes each row's dot product on its own, so a row projects
+        # bit for bit the same in any batch.
+        g = cone.generators[0]
+        return np.maximum(np.vecdot(V, g), 0.0)[:, None] * (g / (g @ g))[None, :]
     if cone._kind == "generated":
         rows = [_nnls_fit(cone.generators, v)[0] for v in V]
     else:

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse.csgraph
 
 from . import cones, poset as poset_mod
 from .errors import (
@@ -219,15 +217,17 @@ class _ScalarPaths:
     """
 
     def __init__(self, problem):
+        from scipy.sparse import csgraph
+
         g = problem.domain.order_matrix
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
         up, down = cones.contains_many(problem.target, [[1.0], [-1.0]])
         free = (g & ~down) | (g.T & ~up)
         # Dense input would read the zero-cost edges as missing.
-        graph = scipy.sparse.csgraph.csgraph_from_dense(
+        graph = csgraph.csgraph_from_dense(
             np.where(free, 0.0, problem.domain.dist), null_value=np.inf
         )
-        self.D = scipy.sparse.csgraph.shortest_path(graph, method="D", indices=problem.subset)
+        self.D = csgraph.shortest_path(graph, method="D", indices=problem.subset)
         self.f = problem.f[:, 0]
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
@@ -324,7 +324,7 @@ def _lp_constraints(problem, K):
             )
 
     if not problem.target.is_trivial:
-        rows = _cone_rows(problem.target) if m > 1 else [np.array([1.0])]
+        rows = _cone_rows(problem.target)
         for i, j in problem.domain.order:
             if i == j:
                 continue
@@ -355,8 +355,10 @@ def _lp_constraints(problem, K):
 
 def lp_feasible_at_K(problem, K):
     """Exact LP feasibility at Lipschitz constant K (status, values)."""
+    from scipy.optimize import linprog
+
     a_ub, b_ub, a_eq, b_eq, nvar = _lp_constraints(problem, K)
-    res = scipy.optimize.linprog(
+    res = linprog(
         c=np.zeros(nvar),
         A_ub=a_ub if a_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
@@ -376,6 +378,8 @@ def lp_feasible_at_K(problem, K):
 def min_lipschitz_lp(problem):
     """Exact minimal K admitting an order-preserving K-Lipschitz extension
     (the per-instance LP oracle); returns (K, values)."""
+    from scipy.optimize import linprog
+
     # One extra variable K multiplying every pair bound. The right-hand
     # sides at fixed K hold K*d per pair row and 0 elsewhere, so the
     # d-coefficients of the K column come from differencing two values.
@@ -389,7 +393,7 @@ def min_lipschitz_lp(problem):
     c = np.zeros(nvar + 1)
     c[-1] = 1.0
     bounds = [(None, None)] * nvar + [(0.0, None)]
-    res = scipy.optimize.linprog(
+    res = linprog(
         c=c,
         A_ub=A if A.size else None,
         b_ub=np.zeros(A.shape[0]) if A.size else None,
@@ -737,6 +741,8 @@ def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
 
     Used to turn arbitrary random values into admissible test maps.
     """
+    from scipy.optimize import linprog
+
     subset = tuple(subset)
     k = len(subset)
     raw = np.asarray(raw_values, dtype=float).reshape(k)
@@ -766,7 +772,7 @@ def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
             a_ub.append(row)
             b_ub.append(sign * raw[a])
     c = np.concatenate([np.zeros(k), np.ones(k)])
-    res = scipy.optimize.linprog(
+    res = linprog(
         c=c,
         A_ub=np.array(a_ub),
         b_ub=np.array(b_ub),

@@ -3,7 +3,7 @@ per-vector and per-pair reference loops."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import monolip as ml
 from monolip import cones, obstruction, poset as poset_mod, spaces
@@ -87,6 +87,40 @@ def test_kernel_matches_per_vector_nnls(kind, seed):
     np.testing.assert_allclose(proj, expect, rtol=0.0, atol=1e-12 * scale.max())
     for v, p, m in zip(V, proj, member):
         assert ml.contains(cone, v) == m
+        np.testing.assert_array_equal(ml.project_cone(cone, v), p)
+
+
+@st.composite
+def single_generators(draw):
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    g = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(g) >= 0.05)
+    return g
+
+
+@FEW
+@example(g=np.array([-1.0]), seed=0)  # the reversed ray R-
+@example(g=np.array([-3.0]), seed=1)
+@example(g=np.array([1.0, 1.0]), seed=2)  # the CLI's default Hilbert cone
+@given(g=single_generators(), seed=SEEDS)
+def test_ray_kernel_matches_per_vector_nnls(g, seed):
+    cone = ml.ConeOrder(dim=g.size, generators=[g])
+    # In R^1 a positive generator is the scalar ray, which clamps.
+    assert cone._kind == ("orthant" if g.size == 1 and g[0] > 0 else "ray")
+    assert ml.orthant(g.size)._kind == ml.scalar_cone()._kind == "orthant"
+    rng = np.random.default_rng(seed)
+    V = _vectors(rng, g[None, :], g.size)
+    ref = [cones._nnls_fit(g[None, :], v) for v in V]
+    scale = 1.0 + np.linalg.norm(V, axis=1)
+    proj = cones.project_many(cone, V)
+    expect = np.array([p for p, _ in ref])
+    np.testing.assert_allclose(proj, expect, rtol=0.0, atol=1e-12 * scale.max())
+    resid = np.array([r for _, r in ref])
+    member = resid <= 1e-12 * scale
+    away = member | (resid > 1e-6 * scale)
+    np.testing.assert_array_equal(cones.contains_many(cone, V)[away], member[away])
+    for v, p in zip(V, proj):
         np.testing.assert_array_equal(ml.project_cone(cone, v), p)
 
 

@@ -396,6 +396,21 @@ def test_scalar_route_reversed_ray_mirrors_the_scalar_order():
     assert ml.feasibility_at_K(p, 1.0).status == extension.INFEASIBLE
 
 
+def test_lp_oracle_reads_the_reversed_ray():
+    # The LP takes its order rows from the cone's halfspace form, [-1] on R-,
+    # so it agrees with the route on the mirrored witness problem.
+    p = ml.ExtensionProblem(
+        domain=witness_poset(),
+        subset=(0, 1),
+        target=ml.ConeOrder(dim=1, generators=[[-1.0]]),
+        f=[[-math.sqrt(5)], [0.0]],
+    )
+    K, _ = ml.min_lipschitz_lp(p)
+    assert K == pytest.approx(SQRT25, abs=1e-9)
+    status, _ = extension.lp_feasible_at_K(p, 1.0)
+    assert status == extension.INFEASIBLE
+
+
 # ---------------------------------------------------------------------------
 # problem construction guards
 # ---------------------------------------------------------------------------
