@@ -14,6 +14,7 @@ are their one-row forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -89,7 +90,11 @@ class ConeOrder:
             g = self.generators
             keep = np.linalg.norm(g, axis=1) > 0.0
             object.__setattr__(self, "generators", g[keep])
-        object.__setattr__(self, "_kind", _kernel_kind(self))
+
+    @functools.cached_property
+    def _kind(self):
+        # Worked out on first use: for a halfspace-only cone it runs NNLS.
+        return _kernel_kind(self)
 
     @property
     def is_trivial(self):

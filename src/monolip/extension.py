@@ -7,8 +7,8 @@ Each class of target has one route:
 * shortest paths for scalar targets: the constraints are difference
   constraints, so the least K and the greatest extension have closed forms
   (McShane 1934) in the shortest-path lengths of one digraph on X,
-* exact linear programming for polyhedral-norm vector targets (L1/LINF);
-  the LP also serves as the independent oracle for the scalar route,
+* one sparse LP for polyhedral-norm vector targets (L1/LINF); the LP
+  also serves as the independent oracle for the scalar route,
 * Dykstra alternating projections for Euclidean vector targets
   (``feasibility_at_K``), the only route ``estimate_e`` bisects over.
 """
@@ -273,95 +273,85 @@ def _cone_rows(target):
             "order constraints need a halfspace form of the target cone "
             f"(dim <= {cones.FACET_ENUM_MAX_DIM} for generated cones)"
         )
-    return rows
+    return np.array(rows).reshape(-1, target.dim)
 
 
-def _lp_constraints(problem, K):
-    """A_ub, b_ub, A_eq, b_eq and variable count for feasibility at K.
+def _sparse(blocks, shape):
+    """One COO matrix from (rows, cols, vals) blocks of index and value
+    arrays, each block broadcast to one shape. Zero coefficients, such as
+    zero entries of a cone normal, are left out."""
+    from scipy import sparse
 
-    Variables are the n*m entries of F (row-major), plus one auxiliary
-    variable per (pair, coordinate) for L1 targets.
+    rows, cols, vals = (
+        np.concatenate([a.ravel() for a in arrays])
+        for arrays in zip(*(np.broadcast_arrays(*block) for block in blocks))
+    )
+    keep = vals != 0.0
+    return sparse.coo_array((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def _lp_rows(problem):
+    """A_ub, lip, A_eq, b_eq and the variable count of the LP: F extends f
+    at K iff A_ub x <= K * lip and A_eq x = b_eq.
+
+    Variables are the n*m entries of F (row-major), plus one bound t_pc per
+    (pair, coordinate) for L1 targets with m > 1. ``lip`` is d(i, j) on
+    each row that K d(i, j) bounds and 0 on the others. Pair rows come
+    first: pairs i < j row-major, then coordinate, then + before -, with
+    each L1 total row after its pair. Order rows follow ``order_matrix``
+    row-major, then the cone's normals.
     """
-    n = problem.domain.n
-    m = problem.target.dim
-    d = problem.domain.dist
+    n, m = problem.domain.n, problem.target.dim
     norm = problem.target.norm
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nvar = n * m
-    aux_base = nvar
-    if norm == "l1" and m > 1:
-        nvar += len(pairs) * m
-
-    def var(i, c):
-        return i * m + c
-
-    a_ub, b_ub = [], []
-
-    def add_ub(coeffs, rhs):
-        row = np.zeros(nvar)
-        for k, w in coeffs:
-            row[k] += w
-        a_ub.append(row)
-        b_ub.append(rhs)
-
-    for p, (i, j) in enumerate(pairs):
-        r = K * d[i, j]
-        if m == 1 or norm == "linf":
-            for c in range(m):
-                add_ub([(var(i, c), 1.0), (var(j, c), -1.0)], r)
-                add_ub([(var(i, c), -1.0), (var(j, c), 1.0)], r)
-        elif norm == "l1":
-            total = []
-            for c in range(m):
-                t = aux_base + p * m + c
-                add_ub([(var(i, c), 1.0), (var(j, c), -1.0), (t, -1.0)], 0.0)
-                add_ub([(var(i, c), -1.0), (var(j, c), 1.0), (t, -1.0)], 0.0)
-                total.append((t, 1.0))
-            add_ub(total, r)
-        else:
-            raise UnsupportedTargetError(
-                f"no LP route for norm {norm!r} with m = {m}"
-            )
-
-    if not problem.target.is_trivial:
-        rows = _cone_rows(problem.target)
-        for i, j in problem.domain.order:
-            if i == j:
-                continue
-            for h in rows:
-                add_ub(
-                    [(var(i, c), -float(h[c])) for c in range(m)]
-                    + [(var(j, c), float(h[c])) for c in range(m)],
-                    0.0,
-                )
+    if m > 1 and norm not in ("l1", "linf"):
+        raise UnsupportedTargetError(f"no LP route for norm {norm!r} with m = {m}")
+    l1 = norm == "l1" and m > 1
+    F = np.arange(n * m).reshape(n, m)  # F[i, c] is the variable of F_ic
+    i, j = np.triu_indices(n, 1)
+    d = problem.domain.dist[i, j]
+    p = np.arange(len(i))
+    per_pair = 2 * m + l1
+    # Row per_pair * p + 2c (+1) holds +(-)(F_ic - F_jc) for pair p.
+    row = per_pair * p[:, None, None] + 2 * np.arange(m)[:, None] + np.arange(2)
+    ends = np.stack([F[i], F[j]], axis=-1)[:, :, None, :]
+    blocks = [(row[..., None], ends, [[1.0, -1.0], [-1.0, 1.0]])]
+    if l1:
+        # |F_ic - F_jc| <= t_pc, then sum_c t_pc <= K d(i, j).
+        t = F.size + p[:, None] * m + np.arange(m)
+        total = per_pair * p + 2 * m
+        blocks += [(row, t[:, :, None], -1.0), (total[:, None], t, 1.0)]
+        lip = np.zeros(per_pair * len(p))
+        lip[total] = d
     else:
-        for i, j in problem.domain.order:
-            if i == j:
-                continue
-            for c in range(m):
-                add_ub([(var(i, c), 1.0), (var(j, c), -1.0)], 0.0)
-                add_ub([(var(i, c), -1.0), (var(j, c), 1.0)], 0.0)
+        lip = np.repeat(d, per_pair)
 
-    a_eq, b_eq = [], []
-    for a, s in enumerate(problem.subset):
-        for c in range(m):
-            row = np.zeros(nvar)
-            row[var(s, c)] = 1.0
-            a_eq.append(row)
-            b_eq.append(float(problem.f[a, c]))
+    # -<h, F_i> + <h, F_j> <= 0 for each strict i >= j and normal h; on the
+    # cone {0} the normals -e_c, +e_c force F_i = F_j.
+    if problem.target.is_trivial:
+        normals = np.kron(np.eye(m), [[-1.0], [1.0]])
+    else:
+        normals = _cone_rows(problem.target)
+    oi, oj = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
+    row = lip.size + len(normals) * np.arange(len(oi))[:, None] + np.arange(len(normals))
+    ends = np.hstack([F[oi], F[oj]])[:, None, :]
+    blocks.append((row[..., None], ends, np.hstack([-normals, normals])))
+    lip = np.concatenate([lip, np.zeros(row.size)])
 
-    return np.array(a_ub), np.array(b_ub), np.array(a_eq), np.array(b_eq), nvar
+    nvar = F.size + l1 * len(p) * m
+    anchors = F[list(problem.subset)].ravel()
+    a_eq = _sparse([(np.arange(anchors.size), anchors, 1.0)], (anchors.size, nvar))
+    return _sparse(blocks, (lip.size, nvar)), lip, a_eq, problem.f.ravel(), nvar
 
 
 def lp_feasible_at_K(problem, K):
     """Exact LP feasibility at Lipschitz constant K (status, values)."""
     from scipy.optimize import linprog
 
-    a_ub, b_ub, a_eq, b_eq, nvar = _lp_constraints(problem, K)
+    a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
     res = linprog(
         c=np.zeros(nvar),
-        A_ub=a_ub if a_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
+        A_ub=a_ub,
+        b_ub=K * lip,
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(None, None),
@@ -378,28 +368,24 @@ def lp_feasible_at_K(problem, K):
 def min_lipschitz_lp(problem):
     """Exact minimal K admitting an order-preserving K-Lipschitz extension
     (the per-instance LP oracle); returns (K, values)."""
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    # One extra variable K multiplying every pair bound. The right-hand
-    # sides at fixed K hold K*d per pair row and 0 elsewhere, so the
-    # d-coefficients of the K column come from differencing two values.
     n = problem.domain.n
     m = problem.target.dim
-    a_ub, b_ub, a_eq, b_eq, nvar = _lp_constraints(problem, 1.0)
-    _, b_ub2, _, _, _ = _lp_constraints(problem, 2.0)
-    dcol = b_ub2 - b_ub
-    A = np.hstack([a_ub, -dcol[:, None]])
-    Aeq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+    a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
+    # One more variable, K >= 0: A_ub x - K lip <= 0.
+    a_ub = sparse.hstack([a_ub, sparse.coo_array(-lip[:, None])])
+    a_eq.resize(a_eq.shape[0], nvar + 1)
     c = np.zeros(nvar + 1)
     c[-1] = 1.0
-    bounds = [(None, None)] * nvar + [(0.0, None)]
     res = linprog(
         c=c,
-        A_ub=A if A.size else None,
-        b_ub=np.zeros(A.shape[0]) if A.size else None,
-        A_eq=Aeq,
+        A_ub=a_ub,
+        b_ub=np.zeros(lip.size),
+        A_eq=a_eq,
         b_eq=b_eq,
-        bounds=bounds,
+        bounds=[(None, None)] * nvar + [(0.0, None)],
         method="highs",
     )
     if res.status != 0:
@@ -677,27 +663,13 @@ def scalar_extend(problem):
     )
 
 
-def _rows_are_basis(rows, dim):
-    scaled = rows / np.linalg.norm(rows, axis=1)[:, None]
-    perm = np.argsort(np.argmax(scaled, axis=1), kind="stable")
-    return np.allclose(scaled[perm], np.eye(dim), atol=1e-12)
-
-
-def _is_orthant(cone):
-    if cone.generators is not None and cone.generators.shape[0] == cone.dim:
-        return _rows_are_basis(cone.generators, cone.dim)
-    if cone.halfspaces is not None and cone.halfspaces.shape[0] == cone.dim:
-        return _rows_are_basis(cone.halfspaces, cone.dim)
-    return False
-
-
 def componentwise_extend(problem):
     """Per-coordinate scalar extension into a coordinatewise-ordered R^m.
 
     Requires a radial domain; the aggregated Lipschitz constant is at most
     sqrt(m) for L2 targets and 1 for LINF targets.
     """
-    if not _is_orthant(problem.target):
+    if problem.target._kind != "orthant":
         raise StructureError("componentwise extension needs the coordinatewise cone")
     witness = poset_mod.check_radiality(problem.domain)
     if witness is not None:
@@ -743,39 +715,37 @@ def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
     """
     from scipy.optimize import linprog
 
-    subset = tuple(subset)
+    subset = list(subset)
     k = len(subset)
     raw = np.asarray(raw_values, dtype=float).reshape(k)
-    d = domain.dist
-    nvar = 2 * k  # values then deviations
-    a_ub, b_ub = [], []
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            row = np.zeros(nvar)
-            row[a], row[b] = 1.0, -1.0
-            a_ub.append(row)
-            b_ub.append(lipschitz * d[subset[a], subset[b]])
-    for a in range(k):
-        for b in range(k):
-            if a != b and domain.geq(subset[a], subset[b]):
-                row = np.zeros(nvar)
-                row[a], row[b] = -1.0, 1.0
-                a_ub.append(row)
-                b_ub.append(0.0)
-    for a in range(k):
-        for sign in (1.0, -1.0):
-            row = np.zeros(nvar)
-            row[a] = sign
-            row[k + a] = -1.0
-            a_ub.append(row)
-            b_ub.append(sign * raw[a])
+    # Variables: the values x, then the deviations t. Rows: x_a - x_b <= L d
+    # on ordered pairs a != b, row-major; x_b - x_a <= 0 where a >= b; then
+    # +-(x_a - raw_a) <= t_a.
+    a, b = np.nonzero(~np.eye(k, dtype=bool))
+    sub = np.ix_(subset, subset)
+    geq = domain.order_matrix[sub][a, b]
+    nlip, nord = len(a), int(geq.sum())
+    dev = np.arange(k)
+    a_ub = _sparse(
+        [
+            (np.arange(nlip)[:, None], np.stack([a, b], axis=1), [1.0, -1.0]),
+            (nlip + np.arange(nord)[:, None], np.stack([a[geq], b[geq]], axis=1), [-1.0, 1.0]),
+            (
+                nlip + nord + np.arange(2 * k).reshape(k, 2, 1),
+                np.stack([dev, k + dev], axis=1)[:, None, :],
+                [[1.0, -1.0], [-1.0, -1.0]],
+            ),
+        ],
+        (nlip + nord + 2 * k, 2 * k),
+    )
+    b_ub = np.concatenate(
+        [lipschitz * domain.dist[sub][a, b], np.zeros(nord), np.stack([raw, -raw], axis=1).ravel()]
+    )
     c = np.concatenate([np.zeros(k), np.ones(k)])
     res = linprog(
         c=c,
-        A_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
+        A_ub=a_ub,
+        b_ub=b_ub,
         bounds=[(None, None)] * k + [(0.0, None)] * k,
         method="highs",
     )

@@ -296,13 +296,22 @@ def test_componentwise_requires_radial_domain():
 # ---------------------------------------------------------------------------
 
 
-def _fitted_problem(rng, domain):
-    """A scalar problem on 2..n-1 anchors with a map from the LP fit."""
+def _fitted_problem(rng, domain, target=ml.scalar_cone()):
+    """A problem on 2..n-1 anchors whose map has one LP-fitted scalar map
+    per coordinate. On L1 targets the map is divided by its own L1
+    Lipschitz constant on S (at most m), so that it is admissible and
+    K_min > 1 still occurs."""
     size = int(rng.integers(2, domain.n))
     subset = tuple(sorted(int(s) for s in rng.choice(domain.n, size=size, replace=False)))
-    raw = rng.normal(size=size) * 3.0
-    f = extension.fit_monotone_lipschitz(domain, subset, raw)
-    return ml.ExtensionProblem(domain=domain, subset=subset, target=ml.scalar_cone(), f=f[:, None])
+    f = np.column_stack([
+        extension.fit_monotone_lipschitz(domain, subset, rng.normal(size=size) * 3.0)
+        for _ in range(target.dim)
+    ])
+    if target.norm == "l1":
+        gap = cones.norm_many(f[:, None] - f[None, :], "l1")
+        d = domain.dist[np.ix_(subset, subset)]
+        f = f / max(1.0, np.max(gap / np.where(gap > 0.0, d, 1.0)))
+    return ml.ExtensionProblem(domain=domain, subset=subset, target=target, f=f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,6 +344,45 @@ def test_radial_domain_extends_at_one(seed):
     p = _fitted_problem(rng, domain)
     assert ml.estimate_e(p).K == 1.0
     assert ml.scalar_extend(p).status == extension.FEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# the L1/LINF vector LP route
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_linf_lp_decouples_into_scalar_routes(seed):
+    # LINF pair rows and orthant order rows each bind one coordinate, so the
+    # vector LP's least K is the worst coordinate's exact scalar K.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "linf"))
+    k_lp = max(1.0, ml.min_lipschitz_lp(p)[0])
+    k_scalar = max(
+        ml.estimate_e(
+            ml.ExtensionProblem(
+                domain=p.domain, subset=p.subset, target=ml.scalar_cone(), f=p.f[:, c : c + 1]
+            )
+        ).K
+        for c in range(m)
+    )
+    assert abs(k_lp - k_scalar) <= 1e-9 * k_scalar
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_l1_lp_decides_at_its_least_K(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "l1"))
+    k_min = ml.estimate_e(p).K
+    above = ml.feasibility_at_K(p, k_min * (1.0 + 1e-6))
+    assert above.status == extension.FEASIBLE
+    assert ml.verify_extension(p, above.values, above.K).max() <= 1e-9
+    if k_min > 1.0:
+        assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status == extension.INFEASIBLE
 
 
 def test_scalar_route_trivial_target_forces_equal_values():

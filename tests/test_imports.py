@@ -55,3 +55,14 @@ def test_commands_without_solvers_skip_scipy_optimize():
     codes, loaded = run_fresh(code)
     assert codes == str([want for _, want in calls])
     assert "scipy.optimize" not in loaded.split()
+
+
+def test_halfspace_cone_membership_skips_scipy_optimize():
+    code = (
+        "from monolip import cones\n"
+        "cone = cones.ConeOrder(dim=2, halfspaces=[[1, 0.2], [0.1, 1]])\n"
+        "print(cones.contains_many(cone, [[1.0, 1.0], [-1.0, 0.0]]).tolist())\n" + REPORT
+    )
+    member, loaded = run_fresh(code)
+    assert member == "[True, False]"
+    assert "scipy.optimize" not in loaded.split()
