@@ -273,9 +273,7 @@ def _cmd_extend(args, report):
     elif args.mode == "feasible":
         if args.K is None:
             raise SchemaError("--mode feasible requires --K")
-        res = extension.feasibility_at_K(
-            problem, args.K, max_iter=args.max_iter, seed=args.seed
-        )
+        res = extension.feasibility_at_K(problem, args.K, max_iter=args.max_iter)
     else:
         raise SchemaError(f"unknown mode {args.mode!r}")
     report.outcome = _result_doc(res)
@@ -366,10 +364,7 @@ def _cmd_estimate_e(args, report):
                 f=f,
                 tol=1e-6,
             )
-            est = extension.estimate_e(
-                sampled, tol=args.tol if args.tol < 1 else 1e-4,
-                max_iter=args.max_iter, seed=args.seed,
-            )
+            est = extension.estimate_e(sampled, max_iter=args.max_iter)
             best = max(best, est.K)
             conclusive = conclusive and est.conclusive
         report.outcome = {
@@ -382,10 +377,7 @@ def _cmd_estimate_e(args, report):
             f"{_fmt(best)}"
         )
         return EXIT_OK if conclusive else EXIT_NUMERIC
-    est = extension.estimate_e(
-        problem, tol=args.tol if args.tol < 1 else 1e-4,
-        max_iter=args.max_iter, seed=args.seed,
-    )
+    est = extension.estimate_e(problem, max_iter=args.max_iter)
     report.outcome = {
         "K": est.K,
         "lo": est.lo,
@@ -436,7 +428,13 @@ def _build_parser():
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("human", "machine"), default="human")
-    common.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+    common.add_argument(
+        "--max-iter",
+        type=int,
+        default=extension.MAX_ROUNDS,
+        dest="max_iter",
+        help="cap on the cutting-plane rounds for L2 vector targets",
+    )
 
     parser = argparse.ArgumentParser(
         prog="monolip",
@@ -485,7 +483,7 @@ def _build_parser():
     p = sub.add_parser(
         "estimate-e",
         parents=[common],
-        help="minimal Lipschitz constant (exact; by bisection for L2 vector targets)",
+        help="minimal Lipschitz constant (exact; a cutting-plane bracket for L2 vector targets)",
     )
     p.add_argument("problem")
     p.add_argument(

@@ -359,10 +359,14 @@ def halfspace_form(cone, tol=1e-10):
     """Halfspace normals describing the cone, or None when unobtainable.
 
     C = {x : <h, x> >= 0 for h generating C*}; for generated cones this
-    goes through facet enumeration and is limited to dim <= 8.
+    goes through facet enumeration and is limited to dim <= 8. Generators
+    that do not span R^m give None: the enumeration finds only the normals
+    of their span's complement, which describe a larger set than the cone.
     """
     if cone.halfspaces is not None:
         return [np.asarray(n, dtype=float) for n in cone.halfspaces]
+    if np.linalg.matrix_rank(cone.generators, tol=tol) < cone.dim:
+        return None
     return dual_generators(cone, tol=tol)
 
 

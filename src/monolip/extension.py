@@ -9,8 +9,9 @@ Each class of target has one route:
   (McShane 1934) in the shortest-path lengths of one digraph on X,
 * one sparse LP for polyhedral-norm vector targets (L1/LINF); the LP
   also serves as the independent oracle for the scalar route,
-* Dykstra alternating projections for Euclidean vector targets
-  (``feasibility_at_K``), the only route ``estimate_e`` bisects over.
+* cutting planes on the same sparse LP for Euclidean vector targets
+  (Kelley 1960): rounds of the min-K LP, with tangent cuts on the pair
+  balls between rounds, bracket the least K from both sides.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ import numpy as np
 from . import cones, poset as poset_mod
 from .errors import (
     ConvergenceError,
-    NoDirectionError,
     RadialityRequiredError,
     StructureError,
     UnsupportedTargetError,
 )
 
 DEFAULT_TOL = 1e-9
-DYKSTRA_TOL = 1e-8
-DYKSTRA_MAX_ITER = 100_000
-BISECT_TOL = 1e-4
+MAX_ROUNDS = 100
+BRACKET_TOL = 1e-4
+#: HiGHS's feasibility tolerance, read as relative: the L2 rounds call K
+#: Infeasible only once the LP bound K_lo exceeds K (1 + LP_FEAS_TOL).
+LP_FEAS_TOL = 1e-7
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -265,17 +267,6 @@ class _ScalarPaths:
 # ---------------------------------------------------------------------------
 
 
-def _cone_rows(target):
-    """Halfspace normals of the target cone, for LP order constraints."""
-    rows = cones.halfspace_form(target)
-    if rows is None:
-        raise UnsupportedTargetError(
-            "order constraints need a halfspace form of the target cone "
-            f"(dim <= {cones.FACET_ENUM_MAX_DIM} for generated cones)"
-        )
-    return np.array(rows).reshape(-1, target.dim)
-
-
 def _sparse(blocks, shape):
     """One COO matrix from (rows, cols, vals) blocks of index and value
     arrays, each block broadcast to one shape. Zero coefficients, such as
@@ -292,20 +283,21 @@ def _sparse(blocks, shape):
 
 def _lp_rows(problem):
     """A_ub, lip, A_eq, b_eq and the variable count of the LP: F extends f
-    at K iff A_ub x <= K * lip and A_eq x = b_eq.
+    at K iff A_ub x <= K * lip and A_eq x = b_eq for some x.
 
-    Variables are the n*m entries of F (row-major), plus one bound t_pc per
-    (pair, coordinate) for L1 targets with m > 1. ``lip`` is d(i, j) on
-    each row that K d(i, j) bounds and 0 on the others. Pair rows come
-    first: pairs i < j row-major, then coordinate, then + before -, with
-    each L1 total row after its pair. Order rows follow ``order_matrix``
-    row-major, then the cone's normals.
+    Variables are the n*m entries of F (row-major), then one bound t_pc per
+    (pair, coordinate) for L1 targets with m > 1, then, for a cone given
+    only by generators G (other than the orthant), one weight mu_pg >= 0
+    per (strict order pair, generator). ``lip`` is d(i, j) on each row that
+    K d(i, j) bounds and 0 on the others. Pair rows come first: pairs i < j
+    row-major, then coordinate, then + before -, with each L1 total row
+    after its pair; L2 targets get the LINF rows, which relax the ball.
+    Order rows follow ``order_matrix`` row-major, then the cone's normals
+    or generators; the anchor rows of A_eq come before its order rows.
     """
     n, m = problem.domain.n, problem.target.dim
-    norm = problem.target.norm
-    if m > 1 and norm not in ("l1", "linf"):
-        raise UnsupportedTargetError(f"no LP route for norm {norm!r} with m = {m}")
-    l1 = norm == "l1" and m > 1
+    target = problem.target
+    l1 = target.norm == "l1" and m > 1
     F = np.arange(n * m).reshape(n, m)  # F[i, c] is the variable of F_ic
     i, j = np.triu_indices(n, 1)
     d = problem.domain.dist[i, j]
@@ -324,29 +316,52 @@ def _lp_rows(problem):
         lip[total] = d
     else:
         lip = np.repeat(d, per_pair)
-
-    # -<h, F_i> + <h, F_j> <= 0 for each strict i >= j and normal h; on the
-    # cone {0} the normals -e_c, +e_c force F_i = F_j.
-    if problem.target.is_trivial:
-        normals = np.kron(np.eye(m), [[-1.0], [1.0]])
-    else:
-        normals = _cone_rows(problem.target)
-    oi, oj = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
-    row = lip.size + len(normals) * np.arange(len(oi))[:, None] + np.arange(len(normals))
-    ends = np.hstack([F[oi], F[oj]])[:, None, :]
-    blocks.append((row[..., None], ends, np.hstack([-normals, normals])))
-    lip = np.concatenate([lip, np.zeros(row.size)])
-
     nvar = F.size + l1 * len(p) * m
+
     anchors = F[list(problem.subset)].ravel()
-    a_eq = _sparse([(np.arange(anchors.size), anchors, 1.0)], (anchors.size, nvar))
-    return _sparse(blocks, (lip.size, nvar)), lip, a_eq, problem.f.ravel(), nvar
+    eq = [(np.arange(anchors.size), anchors, 1.0)]
+    b_eq = problem.f.ravel()
+    oi, oj = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
+    if target.is_trivial:
+        normals = np.kron(np.eye(m), [[-1.0], [1.0]])  # +-e_c force F_i = F_j
+    elif target.halfspaces is not None:
+        normals = target.halfspaces
+    elif target._kind == "orthant":
+        normals = target.generators
+    else:
+        normals = None
+    if normals is not None:
+        # -<h, F_i> + <h, F_j> <= 0 for each strict i >= j and normal h.
+        row = lip.size + len(normals) * np.arange(len(oi))[:, None] + np.arange(len(normals))
+        ends = np.hstack([F[oi], F[oj]])[:, None, :]
+        blocks.append((row[..., None], ends, np.hstack([-normals, normals])))
+        lip = np.concatenate([lip, np.zeros(row.size)])
+    else:
+        # F_i - F_j = G^T mu for each strict i >= j, and -mu <= 0: exact for
+        # every generated cone, with no facet enumeration.
+        gens = target.generators
+        mu = nvar + np.arange(len(oi) * len(gens)).reshape(len(oi), len(gens))
+        nvar += mu.size
+        row = anchors.size + m * np.arange(len(oi))[:, None] + np.arange(m)
+        eq += [(row, F[oi], 1.0), (row, F[oj], -1.0), (row[..., None], mu[:, None, :], -gens.T)]
+        b_eq = np.concatenate([b_eq, np.zeros(row.size)])
+        blocks.append((lip.size + np.arange(mu.size), mu.ravel(), -1.0))
+        lip = np.concatenate([lip, np.zeros(mu.size)])
+    return _sparse(blocks, (lip.size, nvar)), lip, _sparse(eq, (b_eq.size, nvar)), b_eq, nvar
+
+
+def _require_polyhedral(problem):
+    m, norm = problem.target.dim, problem.target.norm
+    if m > 1 and norm == "l2":
+        raise UnsupportedTargetError(f"no LP route for norm {norm!r} with m = {m}")
 
 
 def lp_feasible_at_K(problem, K):
-    """Exact LP feasibility at Lipschitz constant K (status, values)."""
+    """Exact LP feasibility at Lipschitz constant K (status, values), for
+    scalar and L1/LINF targets."""
     from scipy.optimize import linprog
 
+    _require_polyhedral(problem)
     a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
     res = linprog(
         c=np.zeros(nvar),
@@ -365,18 +380,16 @@ def lp_feasible_at_K(problem, K):
     raise ConvergenceError(f"LP solver failed: {res.message}")
 
 
-def min_lipschitz_lp(problem):
-    """Exact minimal K admitting an order-preserving K-Lipschitz extension
-    (the per-instance LP oracle); returns (K, values)."""
+def _least_K(problem, a_ub, lip, a_eq, b_eq, nvar):
+    """The min-K LP on rows in the form of ``_lp_rows``: the least K >= 0
+    with A_ub x <= K lip and A_eq x = b_eq, and F at it; (inf, None) when
+    no K is feasible."""
     from scipy import sparse
     from scipy.optimize import linprog
 
-    n = problem.domain.n
-    m = problem.target.dim
-    a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
     # One more variable, K >= 0: A_ub x - K lip <= 0.
     a_ub = sparse.hstack([a_ub, sparse.coo_array(-lip[:, None])])
-    a_eq.resize(a_eq.shape[0], nvar + 1)
+    a_eq = sparse.hstack([a_eq, sparse.coo_array((a_eq.shape[0], 1))])
     c = np.zeros(nvar + 1)
     c[-1] = 1.0
     res = linprog(
@@ -388,154 +401,95 @@ def min_lipschitz_lp(problem):
         bounds=[(None, None)] * nvar + [(0.0, None)],
         method="highs",
     )
+    if res.status == 2:
+        return np.inf, None
     if res.status != 0:
         raise ConvergenceError(f"min-K LP failed: {res.message}")
+    n, m = problem.domain.n, problem.target.dim
     return float(res.x[-1]), res.x[: n * m].reshape(n, m)
 
 
-# ---------------------------------------------------------------------------
-# Dykstra alternating projections (Euclidean vector targets)
-# ---------------------------------------------------------------------------
+def min_lipschitz_lp(problem):
+    """Exact minimal K admitting an order-preserving K-Lipschitz extension
+    (the per-instance LP oracle) for scalar and L1/LINF targets; returns
+    (K, values)."""
+    _require_polyhedral(problem)
+    K, values = _least_K(problem, *_lp_rows(problem))
+    if values is None:
+        raise ConvergenceError("min-K LP failed: no K admits an extension")
+    return K, values
 
 
-def _dykstra(problem, K, tol, max_iter):
-    """Alternating projections over anchors, pair balls, and cone
-    differences in the product space of all F-values."""
-    n = problem.domain.n
-    m = problem.target.dim
-    d = problem.domain.dist
-    values = np.zeros((n, m))
-    for a, s in enumerate(problem.subset):
-        values[s] = problem.f[a]
+def _l2_rounds(problem, max_rounds):
+    """Kelley's outer linearisation of the L2 pair balls, for m > 1.
 
-    ball_sets = [
-        (i, j, K * d[i, j]) for i in range(n) for j in range(i + 1, n)
-    ]
-    cone_sets = [
-        (i, j) for i, j in problem.domain.order if i != j
-    ] if not problem.target.is_trivial else []
-    # trivial cone: ordered pairs force equality, project to the average
-    eq_sets = [
-        (i, j) for i, j in problem.domain.order if i != j
-    ] if problem.target.is_trivial else []
+    Each round solves the min-K LP and yields (K_lo, K_hi, values). The
+    rows relax every ball ||F_i - F_j|| <= K d(i, j), so the LP optimum
+    K_lo is a lower bound. The LP's F, and its midpoint with the best F so
+    far, meet the anchors and the order rows, so K_hi = max ||F_i - F_j||
+    / d(i, j) over them is attained; the least K_hi so far is yielded with
+    its values. Between rounds, each pair that leaves its ball at K_lo, at
+    either point, gets the tangent cut <u, F_i - F_j> <= K d(i, j), u the
+    unit direction of F_i - F_j there. Cutting at the midpoint too (in-out
+    separation) keeps the LP's vertex from roaming over a flat optimal
+    face. No K at all yields (inf, inf, None).
+    """
+    from scipy import sparse
 
-    corr_ball = {key: np.zeros((2, m)) for key in ball_sets}
-    corr_cone = {key: np.zeros((2, m)) for key in cone_sets}
-    corr_eq = {key: np.zeros((2, m)) for key in eq_sets}
-    anchors = list(zip(problem.subset, problem.f))
-    ball_i, ball_j = np.triu_indices(n, 1)
-    radii = K * d[ball_i, ball_j]
-    cone_i, cone_j = np.array(cone_sets, dtype=int).reshape(-1, 2).T
-    eq_i, eq_j = np.array(eq_sets, dtype=int).reshape(-1, 2).T
-    subset = list(problem.subset)
-
-    def residuals():
-        lip = np.max(cones.norm_many(values[ball_i] - values[ball_j], "l2") - radii, initial=0.0)
-        diff = values[cone_i] - values[cone_j]
-        miss = cones.norm_many(diff - cones.project_many(problem.target, diff), "l2")
-        order = np.max(miss, initial=0.0)
-        order = np.max(cones.norm_many(values[eq_i] - values[eq_j], "l2"), initial=order)
-        anc = np.max(cones.norm_many(values[subset] - problem.f, "l2"))
-        return float(lip), float(order), float(anc)
-
-    check_every = 10
-    for sweep in range(max_iter):
-        # anchors (affine set: plain projection, no correction needed)
-        for s, fv in anchors:
-            values[s] = fv
-        for key in ball_sets:
-            i, j, r = key
-            y_i = values[i] + corr_ball[key][0]
-            y_j = values[j] + corr_ball[key][1]
-            u = y_i - y_j
-            nu = float(np.linalg.norm(u))
-            if nu > r:
-                shift = 0.5 * (nu - r) / nu * u
-                p_i, p_j = y_i - shift, y_j + shift
-            else:
-                p_i, p_j = y_i, y_j
-            corr_ball[key][0] = y_i - p_i
-            corr_ball[key][1] = y_j - p_j
-            values[i], values[j] = p_i, p_j
-        for key in cone_sets:
-            i, j = key
-            y_i = values[i] + corr_cone[key][0]
-            y_j = values[j] + corr_cone[key][1]
-            u = y_i - y_j
-            w = cones.project_cone(problem.target, u)
-            shift = 0.5 * (w - u)
-            p_i, p_j = y_i + shift, y_j - shift
-            corr_cone[key][0] = y_i - p_i
-            corr_cone[key][1] = y_j - p_j
-            values[i], values[j] = p_i, p_j
-        for key in eq_sets:
-            i, j = key
-            y_i = values[i] + corr_eq[key][0]
-            y_j = values[j] + corr_eq[key][1]
-            mid = 0.5 * (y_i + y_j)
-            corr_eq[key][0] = y_i - mid
-            corr_eq[key][1] = y_j - mid
-            values[i] = values[j] = mid
-        if sweep % check_every == 0 or sweep == max_iter - 1:
-            snapped = values.copy()
-            for s, fv in anchors:
-                snapped[s] = fv
-            lip, order, anc = residuals()
-            if max(lip, order, anc) <= tol:
-                return FEASIBLE, snapped
-    return UNKNOWN, values
+    if max_rounds < 1:
+        raise StructureError("max_iter must be at least 1")
+    a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
+    n, m = problem.domain.n, problem.target.dim
+    F = np.arange(n * m).reshape(n, m)
+    i, j = np.triu_indices(n, 1)
+    d = problem.domain.dist[i, j]
+    apart = d > 0.0
+    k_hi, best = np.inf, None
+    for _ in range(max_rounds):
+        k_lo, values = _least_K(problem, a_ub, lip, a_eq, b_eq, nvar)
+        if values is None:
+            yield np.inf, np.inf, None
+            return
+        points = [values] if best is None else [values, 0.5 * (values + best)]
+        pairs, dirs = [], []
+        for point in points:
+            diff = point[i] - point[j]
+            gap = cones.norm_many(diff, "l2")
+            k = float(np.max(gap[apart] / d[apart], initial=0.0))
+            if k < k_hi:
+                k_hi, best = k, point
+            cut = np.flatnonzero(gap > k_lo * d)
+            pairs.append(cut)
+            dirs.append(diff[cut] / gap[cut, None])
+        yield k_lo, k_hi, best
+        pairs, dirs = np.concatenate(pairs), np.concatenate(dirs)
+        if not pairs.size:
+            return
+        row = np.arange(pairs.size)[:, None]
+        cuts = _sparse([(row, F[i[pairs]], dirs), (row, F[j[pairs]], -dirs)], (pairs.size, nvar))
+        a_ub = sparse.vstack([a_ub, cuts])
+        lip = np.concatenate([lip, d[pairs]])
 
 
-def _dual_norm_factor(norm, e):
-    """Lipschitz constant of a -> <a, e> w.r.t. the given norm."""
-    if norm == "l2":
-        return float(np.linalg.norm(e))
-    if norm == "l1":
-        return float(np.max(np.abs(e)))
-    return float(np.sum(np.abs(e)))  # linf
-
-
-def _scalar_relaxation(problem, K, seed=0):
-    """Compose with a monotone direction of the target cone; infeasibility
-    of the scalar image problem certifies infeasibility of the original."""
-    if problem.target.is_trivial:
-        return None
-    try:
-        e = cones.monotone_direction(problem.target, seed=seed)
-    except (NoDirectionError, ConvergenceError):
-        return None
-    factor = _dual_norm_factor(problem.target.norm, e)
-    f_scalar = (problem.f @ e)[:, None] / factor
-    try:
-        relaxed = ExtensionProblem(
-            domain=problem.domain,
-            subset=problem.subset,
-            target=cones.scalar_cone(),
-            f=f_scalar,
-        )
-    except StructureError:
-        return None
-    return FEASIBLE if _ScalarPaths(relaxed).fits(K) else INFEASIBLE
-
-
-def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
+def feasibility_at_K(problem, K, tol=DEFAULT_TOL, max_iter=MAX_ROUNDS):
     """Decide whether an order-preserving K-Lipschitz extension exists.
 
     Scalar targets are decided exactly by shortest paths (the values are
     the greatest extension), polyhedral-norm (L1/LINF) targets by linear
-    programming. Euclidean vector targets run Dykstra alternating
-    projections, with a monotone-direction scalar relaxation providing the
-    only infeasibility certificate; otherwise the outcome is Unknown after
-    ``max_iter`` sweeps.
+    programming. Euclidean vector targets run up to ``max_iter`` cutting-
+    plane rounds: Infeasible once the LP bound K_lo exceeds K by more than
+    the LP tolerance, Feasible once an attained K_hi <= K, else Unknown
+    with the best values found. Every Feasible checks its own values: a
+    ``verify_extension`` residual above tol (1 + K max d) makes it Unknown.
     """
     if K <= 0.0:
         raise StructureError("K must be positive")
+    bound = tol * (1.0 + K * float(np.max(problem.domain.dist)))
     if len(problem.subset) == problem.domain.n:
         values = np.zeros((problem.domain.n, problem.target.dim))
-        for a, s in enumerate(problem.subset):
-            values[s] = problem.f[a]
+        values[list(problem.subset)] = problem.f
         res = verify_extension(problem, values, K)
-        status = FEASIBLE if res.max() <= max(tol, DEFAULT_TOL) else INFEASIBLE
+        status = FEASIBLE if res.max() <= bound else INFEASIBLE
         return ExtensionResult(values=values, K=K, status=status, residuals=res)
 
     if problem.is_scalar:
@@ -543,10 +497,16 @@ def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, see
         status, values = (FEASIBLE, route.values(K)) if route.fits(K) else (INFEASIBLE, None)
     elif problem.target.norm in ("l1", "linf"):
         status, values = lp_feasible_at_K(problem, K)
-    elif _scalar_relaxation(problem, K, seed=seed) == INFEASIBLE:
-        status, values = INFEASIBLE, None
     else:
-        status, values = _dykstra(problem, K, tol, max_iter)
+        for k_lo, k_hi, values in _l2_rounds(problem, max_iter):
+            if k_lo > K * (1.0 + LP_FEAS_TOL):
+                status = INFEASIBLE
+                break
+            if k_hi <= K:
+                status = FEASIBLE
+                break
+        else:
+            status = UNKNOWN
     if status == INFEASIBLE:
         return ExtensionResult(
             values=np.zeros((problem.domain.n, problem.target.dim)),
@@ -554,10 +514,10 @@ def feasibility_at_K(problem, K, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER, see
             status=INFEASIBLE,
             residuals=ResidualReport(np.inf, np.inf, np.inf),
         )
-    return ExtensionResult(
-        values=values, K=K, status=status,
-        residuals=verify_extension(problem, values, K),
-    )
+    res = verify_extension(problem, values, K)
+    if status == FEASIBLE and res.max() > bound:
+        status = UNKNOWN
+    return ExtensionResult(values=values, K=K, status=status, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +531,10 @@ class EstimateResult:
 
     Exact routes (shortest paths for scalar targets, one LP for L1/LINF
     targets) give ``K = lo = hi``, conclusive, with an empty ``trace``.
-    Euclidean vector targets are bisected: ``K`` is the bracket midpoint,
-    ``trace`` lists each (K, status) tried, and ``conclusive`` is False
-    when an Unknown feasibility status touched the final bracket, in which
-    case (lo, hi) is the honest answer.
+    Euclidean vector targets give the cutting-plane bracket: ``lo`` and
+    ``hi`` are max(1, K_lo) and max(1, K_hi) of the last round, ``K`` is
+    their midpoint, ``trace`` lists each round's (K_lo, K_hi), and
+    ``conclusive`` is True when hi - lo is within the requested ``tol``.
     """
 
     K: float
@@ -588,9 +548,10 @@ class EstimateResult:
         return cls(K=K, lo=K, hi=K, conclusive=True, trace=())
 
 
-def estimate_e(problem, tol=BISECT_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
+def estimate_e(problem, tol=BRACKET_TOL, max_iter=MAX_ROUNDS):
     """The minimal K with a feasible extension: exact for scalar and
-    L1/LINF targets, by bisection to ``tol`` for Euclidean vector targets.
+    L1/LINF targets, bracketed to width ``tol`` by at most ``max_iter``
+    cutting-plane rounds for Euclidean vector targets.
 
     This is a per-f quantity: a lower bound on the supremal extension
     modulus of (X, S, target) over all admissible maps f.
@@ -603,38 +564,15 @@ def estimate_e(problem, tol=BISECT_TOL, max_iter=DYKSTRA_MAX_ITER, seed=0):
         return EstimateResult.exact(max(1.0, min_lipschitz_lp(problem)[0]))
 
     trace = []
-
-    def feasible(K):
-        res = feasibility_at_K(problem, K, max_iter=max_iter, seed=seed)
-        trace.append((float(K), res.status))
-        return res.status
-
-    s0 = feasible(1.0)
-    if s0 == FEASIBLE:
-        return EstimateResult(K=1.0, lo=1.0, hi=1.0, conclusive=True, trace=tuple(trace))
-
-    hi = 2.0
-    while feasible(hi) != FEASIBLE:
-        hi *= 2.0
-        if hi > 2.0**20:
-            raise ConvergenceError("no feasible Lipschitz constant found below 2^20")
-    lo = max(1.0, hi / 2.0)
-    saw_unknown = s0 == UNKNOWN
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        status = feasible(mid)
-        if status == FEASIBLE:
-            hi = mid
-        else:
-            lo = mid
-            if status == UNKNOWN:
-                saw_unknown = True
+    for k_lo, k_hi, _ in _l2_rounds(problem, max_iter):
+        if k_lo == np.inf:
+            raise ConvergenceError("no Lipschitz constant admits an extension")
+        trace.append((k_lo, k_hi))
+        lo, hi = max(1.0, k_lo), max(1.0, k_hi)
+        if hi - lo <= tol:
+            break
     return EstimateResult(
-        K=0.5 * (lo + hi),
-        lo=lo,
-        hi=hi,
-        conclusive=not saw_unknown,
-        trace=tuple(trace),
+        K=0.5 * (lo + hi), lo=lo, hi=hi, conclusive=hi - lo <= tol, trace=tuple(trace)
     )
 
 

@@ -50,6 +50,17 @@ def test_halfspace_membership_matches_generated(rng):
         assert ml.dual_contains(gen, v) == ml.dual_contains(half, v)
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 1.0]]],
+    ids=["e1-e2-in-R3", "ray-in-R2"],
+)
+def test_halfspace_form_refuses_cones_that_do_not_span(gens):
+    # Facet enumeration finds only +-e3 (or +-g_perp) here, which cut out a
+    # plane (or a line) instead of the cone.
+    assert cones.halfspace_form(ml.ConeOrder(dim=len(gens[0]), generators=gens)) is None
+
+
 # ---------------------------------------------------------------------------
 # projection and Moreau decomposition
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ import monolip as ml
 from monolip import cones, extension
 from monolip.errors import ConvergenceError, RadialityRequiredError, StructureError
 
-from conftest import monotone_line_map, random_metric_poset, random_radial_poset
+from conftest import (
+    monotone_line_map,
+    random_metric_poset,
+    random_pointed_cone,
+    random_radial_poset,
+)
 
 SQRT25 = math.sqrt(2.5)
 
@@ -383,6 +388,120 @@ def test_l1_lp_decides_at_its_least_K(seed):
     assert ml.verify_extension(p, above.values, above.K).max() <= 1e-9
     if k_min > 1.0:
         assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status == extension.INFEASIBLE
+
+
+def test_lp_does_not_report_feasible_below_its_least_K():
+    # HiGHS accepts these rows at K_min (1 - 1e-6), within its absolute 1e-7
+    # feasibility tolerance, with values whose residual is 9.1e-8.
+    rng = np.random.default_rng(155)
+    m = int(rng.integers(2, 4))
+    dom = random_metric_poset(rng, max_points=14)
+    size = int(rng.integers(2, dom.n))
+    subset = sorted(rng.choice(dom.n, size=size, replace=False))
+    f = np.column_stack([
+        extension.fit_monotone_lipschitz(dom, subset, rng.normal(size=size) * 3.0, lipschitz=0.5 / m)
+        for _ in range(m)
+    ])
+    p = ml.ExtensionProblem(domain=dom, subset=subset, target=ml.orthant(m, "linf"), f=f)
+    k_min = ml.min_lipschitz_lp(p)[0]
+    assert k_min == pytest.approx(0.25, rel=1e-9)
+    assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status != extension.FEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# the L2 cutting-plane route, and order rows for every generated cone
+# ---------------------------------------------------------------------------
+
+
+def _ray_problem(scalar, cone, u):
+    return ml.ExtensionProblem(
+        domain=scalar.domain, subset=scalar.subset, target=cone, f=scalar.f * u
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_l2_bracket_holds_the_ray_oracle(seed):
+    # u is a unit vector in C and C*: <u, .> is monotone and 1-Lipschitz and
+    # maps f = phi u back to phi, and t -> t u lifts phi's extension, so the
+    # least L2 K equals phi's scalar K. One generator, or fewer than dim,
+    # gives a cone that does not span R^dim.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 5))
+    cone = random_pointed_cone(rng, dim=dim, n_gen=int(rng.integers(1, dim + 2)))
+    u = cones.monotone_direction(cone)
+    scalar = _fitted_problem(rng, random_metric_poset(rng, max_points=12))
+    k_s = ml.estimate_e(scalar).K
+    p = _ray_problem(scalar, cone, u)
+    est = ml.estimate_e(p)
+    assert est.lo <= k_s * (1.0 + 1e-9)
+    assert k_s <= est.hi * (1.0 + 1e-9)
+    assert est.conclusive
+    at_hi = ml.feasibility_at_K(p, est.hi)
+    assert at_hi.status == extension.FEASIBLE
+    assert at_hi.residuals.max() <= 1e-9
+    if k_s > 1.0:
+        assert ml.feasibility_at_K(p, k_s * (1.0 - 1e-3)).status == extension.INFEASIBLE
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf", "l2"])
+@pytest.mark.parametrize(
+    "gens",
+    [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0]]],
+    ids=["e1-e2-in-R3", "ray-in-R2"],
+)
+def test_cone_that_does_not_span_keeps_its_order(gens, norm):
+    # x -> x_1 is monotone and 1-Lipschitz in every norm, and t -> t e1 lifts
+    # the scalar witness extension, so K = sqrt(2.5). A facet form of either
+    # cone describes a plane or a line, on which K = 1 fits.
+    cone = ml.ConeOrder(dim=len(gens[0]), generators=gens, norm=norm)
+    f = np.zeros((2, cone.dim))
+    f[0, 0] = math.sqrt(5)
+    p = ml.ExtensionProblem(domain=witness_poset(), subset=(0, 1), target=cone, f=f)
+    est = ml.estimate_e(p)
+    assert est.conclusive
+    assert est.K == pytest.approx(SQRT25, rel=1e-6)
+    assert ml.feasibility_at_K(p, 1.0).status == extension.INFEASIBLE
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_nine_dimensional_generated_cone(norm):
+    # Every generator has a positive first coordinate and e1 is one, so e1 is
+    # in C and C*: x -> x_1 is monotone and 1-Lipschitz, and the ray map
+    # phi e1 needs exactly phi's scalar K.
+    rng = np.random.default_rng(48)
+    gens = rng.normal(size=(8, 9))
+    gens[:, 0] = np.abs(gens[:, 0]) + 0.5
+    cone = ml.ConeOrder(dim=9, generators=np.vstack([np.eye(9)[0], gens]), norm=norm)
+    scalar = _fitted_problem(rng, random_metric_poset(rng, max_points=10))
+    k_s = ml.estimate_e(scalar).K
+    assert k_s > 1.0
+    est = ml.estimate_e(_ray_problem(scalar, cone, np.eye(9)[0]))
+    assert est.conclusive
+    assert est.lo <= k_s * (1.0 + 1e-9)
+    assert k_s <= est.hi * (1.0 + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_l2_bracket_within_the_norm_sandwich(seed):
+    # |x|_inf <= |x|_2 <= |x|_1 <= sqrt(m) |x|_2 <= m |x|_inf, so for one map
+    # max(K_inf, K_1 / sqrt(m)) <= K_2 <= min(K_1, sqrt(m) K_inf).
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    p1 = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "l1"))
+    k1, kinf, est = (
+        ml.estimate_e(
+            ml.ExtensionProblem(
+                domain=p1.domain, subset=p1.subset, target=ml.orthant(m, norm), f=p1.f
+            )
+        )
+        for norm in ("l1", "linf", "l2")
+    )
+    root = math.sqrt(m)
+    assert est.conclusive
+    assert est.hi >= max(kinf.K, k1.K / root) * (1.0 - 1e-7)
+    assert est.lo <= min(k1.K, root * kinf.K) * (1.0 + 1e-7)
 
 
 def test_scalar_route_trivial_target_forces_equal_values():
