@@ -206,30 +206,49 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
+def _dijkstra(W, sources):
+    """Shortest-path lengths from each source to every node of the complete
+    digraph with costs ``W[i, j] >= 0`` on edge i -> j, as a (k, n) array.
+
+    One Dijkstra (1959) per source, all run side by side: each of the n
+    steps settles, in every row, the open node nearest its source and
+    relaxes that node's row of W. The work arrays are updated in place.
+    """
+    sources = np.asarray(sources)
+    k, n = len(sources), W.shape[0]
+    rows = np.arange(k)
+    D = np.full((k, n), np.inf)
+    D[rows, sources] = 0.0
+    done = np.zeros((k, n))  # +inf once a node is settled
+    key = np.empty((k, n))
+    for _ in range(n):
+        u = np.add(D, done, out=key).argmin(axis=1)
+        done[rows, u] = np.inf
+        step = W.take(u, axis=0)
+        step += D[rows, u][:, None]
+        np.minimum(D, step, out=D)
+    return D
+
+
 class _ScalarPaths:
     """The exact scalar route, for one problem and every K at once.
 
     ``D[a, x]`` is D*(s_a, x), the shortest-path length from anchor s_a to x
-    in the digraph on X whose edge i -> j costs 0 when the order forces
-    F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise. Any
-    order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
+    in the complete digraph on X whose edge i -> j costs 0 when the order
+    forces F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise;
+    ``_dijkstra`` computes it from the dense cost matrix, with numpy only.
+    Any order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
     U(x) = min_s f(s) + K D*(s, x) meets every constraint, so an extension
     exists at K iff f(b) - f(a) <= K D*(a, b) on all anchor pairs, and U is
     then the greatest extension.
     """
 
     def __init__(self, problem):
-        from scipy.sparse import csgraph
-
         g = problem.domain.order_matrix
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
         up, down = cones.contains_many(problem.target, [[1.0], [-1.0]])
         free = (g & ~down) | (g.T & ~up)
-        # Dense input would read the zero-cost edges as missing.
-        graph = csgraph.csgraph_from_dense(
-            np.where(free, 0.0, problem.domain.dist), null_value=np.inf
-        )
-        self.D = csgraph.shortest_path(graph, method="D", indices=problem.subset)
+        self.D = _dijkstra(np.where(free, 0.0, problem.domain.dist), problem.subset)
         self.f = problem.f[:, 0]
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
@@ -561,7 +580,12 @@ def estimate_e(problem, tol=BRACKET_TOL, max_iter=MAX_ROUNDS):
     if problem.is_scalar:
         return EstimateResult.exact(_ScalarPaths(problem).least_K())
     if problem.target.norm in ("l1", "linf"):
-        return EstimateResult.exact(max(1.0, min_lipschitz_lp(problem)[0]))
+        K = max(1.0, min_lipschitz_lp(problem)[0])
+        # As on the scalar route, K_min is exactly 1 iff K = 1 fits: within
+        # the LP tolerance above 1, verified values at K = 1 decide.
+        if 1.0 < K <= 1.0 + LP_FEAS_TOL and feasibility_at_K(problem, 1.0).status == FEASIBLE:
+            K = 1.0
+        return EstimateResult.exact(K)
 
     trace = []
     for k_lo, k_hi, _ in _l2_rounds(problem, max_iter):

@@ -134,11 +134,10 @@ def _scalar_modulus(poset, witness):
 
 
 def _subposet(poset, indices):
-    pos = {p: i for i, p in enumerate(indices)}
-    dist = poset.dist[np.ix_(indices, indices)]
-    order = frozenset(
-        (pos[i], pos[j]) for i, j in poset.order if i in pos and j in pos
-    )
+    sub = np.ix_(indices, indices)
+    rows, cols = np.nonzero(poset.order_matrix[sub])
+    order = frozenset(zip(rows.tolist(), cols.tolist()))
+    dist = poset.dist[sub]
     labels = tuple(poset.labels[i] for i in indices)
     return poset_mod.FiniteMetricPoset(labels=labels, dist=dist, order=order)
 

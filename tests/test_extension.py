@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import monolip as ml
 from monolip import cones, extension
@@ -319,6 +319,39 @@ def _fitted_problem(rng, domain, target=ml.scalar_cone()):
     return ml.ExtensionProblem(domain=domain, subset=subset, target=target, f=f)
 
 
+def _floyd_warshall(W):
+    D = W.copy()
+    np.fill_diagonal(D, 0.0)
+    for k in range(len(D)):
+        np.minimum(D, D[:, k : k + 1] + D[k : k + 1, :], out=D)
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dijkstra_matches_floyd_warshall(seed):
+    rng = np.random.default_rng(seed)
+    domain = random_metric_poset(rng, max_points=12)
+    n, g = domain.n, domain.order_matrix
+    sources = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    # Asymmetric costs, with up to 90% of the edges free.
+    W = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.9), 0.0, domain.dist)
+    np.testing.assert_allclose(
+        extension._dijkstra(W, sources), _floyd_warshall(W)[sources], rtol=1e-12, atol=0.0
+    )
+    subset = tuple(sorted(int(s) for s in sources))
+    for target, free in (
+        (ml.scalar_cone(), g),
+        (ml.ConeOrder(dim=1, generators=[[-1.0]]), g.T),
+        (ml.trivial_cone(1), g | g.T),
+    ):
+        p = ml.ExtensionProblem(
+            domain=domain, subset=subset, target=target, f=np.zeros((len(subset), 1))
+        )
+        want = _floyd_warshall(np.where(free, 0.0, domain.dist))[list(subset)]
+        np.testing.assert_allclose(extension._ScalarPaths(p).D, want, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scalar_route_matches_lp_oracle(seed):
@@ -378,6 +411,7 @@ def test_linf_lp_decouples_into_scalar_routes(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=6734745)  # the LP's K_min is 1 + 1 ulp, yet K = 1 fits
 def test_l1_lp_decides_at_its_least_K(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))

@@ -8,6 +8,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
 INSTANCES = os.path.join(ROOT, "instances")
 WITNESS = os.path.join(INSTANCES, "witness_poset.json")
+WITNESS_PROBLEM = os.path.join(INSTANCES, "witness_scalar_problem.json")
+CHAIN_PROBLEM = os.path.join(INSTANCES, "chain_problem.json")
 
 REPORT = "import sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))\n"
 
@@ -55,6 +57,28 @@ def test_commands_without_solvers_skip_scipy_optimize():
     codes, loaded = run_fresh(code)
     assert codes == str([want for _, want in calls])
     assert "scipy.optimize" not in loaded.split()
+
+
+def test_scalar_commands_load_no_scipy():
+    calls = [
+        (["certify", WITNESS, "--space", "hilbert", "--e", "1,1"], 1),
+        (["extend", WITNESS_PROBLEM, "--mode", "scalar"], 1),
+        (["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1"], 1),
+        (["extend", CHAIN_PROBLEM, "--mode", "componentwise"], 0),
+        (["estimate-e", WITNESS_PROBLEM], 0),
+    ]
+    code = (
+        "import contextlib, io\n"
+        "from monolip import cli\n"
+        "codes = []\n"
+        f"for argv in {[argv for argv, _ in calls]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.dispatch(argv + ['--format', 'machine']))\n"
+        "print(codes)\n" + REPORT
+    )
+    codes, loaded = run_fresh(code)
+    assert codes == str([want for _, want in calls])
+    assert loaded == ""
 
 
 def test_halfspace_cone_membership_skips_scipy_optimize():
