@@ -32,6 +32,10 @@ DEFAULT_TOL = 1e-9
 #: the generators directly.
 FACET_ENUM_MAX_DIM = 8
 
+#: ``monotone_direction`` falls back to this many seeded random samples.
+DIRECTION_SEED = 0
+DIRECTION_SAMPLES = 10_000
+
 
 def norm_many(V, tag):
     """Norms of the rows of ``V`` (any (..., m) array) under a norm tag."""
@@ -81,6 +85,8 @@ class ConeOrder:
                 arr = arr.reshape(0, self.dim)
             if arr.shape[1] != self.dim:
                 raise StructureError(f"{name} rows must have length {self.dim}")
+            if not np.isfinite(arr).all():
+                raise StructureError(f"{name} entries must be finite")
             if name == "halfspaces" and arr.shape[0] and np.any(
                 np.linalg.norm(arr, axis=1) == 0.0
             ):
@@ -370,7 +376,7 @@ def halfspace_form(cone, tol=1e-10):
     return dual_generators(cone, tol=tol)
 
 
-def monotone_direction(cone, tol=DEFAULT_TOL, seed=0, sample_budget=10_000):
+def monotone_direction(cone, tol=DEFAULT_TOL):
     """A unit vector e with e in C and e in C*.
 
     Follows the projection argument: find a in C* \\ -C*, set b = P_C(a),
@@ -407,8 +413,8 @@ def monotone_direction(cone, tol=DEFAULT_TOL, seed=0, sample_budget=10_000):
         if e is not None:
             return e
 
-    rng = np.random.default_rng(seed)
-    for _ in range(sample_budget):
+    rng = np.random.default_rng(DIRECTION_SEED)
+    for _ in range(DIRECTION_SAMPLES):
         x = rng.standard_normal(cone.dim)
         a = x + project_cone(cone, -x)  # = P_{C*}(x) by Moreau
         e = try_candidate(a)

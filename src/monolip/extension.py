@@ -69,6 +69,8 @@ class ExtensionProblem:
             raise StructureError(
                 f"f must have shape ({len(subset)}, {self.target.dim}), got {f.shape}"
             )
+        if not np.isfinite(f).all():
+            raise StructureError("f values must be finite")
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "f", f)
         self._check_admissible()
@@ -101,9 +103,6 @@ class ExtensionProblem:
     @property
     def is_scalar(self):
         return self.target.dim == 1
-
-    def f_at(self, domain_index):
-        return self.f[self.subset.index(domain_index)]
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,15 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
 
     scalar_query = np.isscalar(queries)
     qs = np.atleast_1d(np.asarray(queries, dtype=float))
-    out = np.empty((qs.shape[0], cone.dim))
-    for qi, q in enumerate(qs):
-        k = int(np.searchsorted(xs, q))
-        if k < len(xs) and xs[k] == q:
-            out[qi] = fs[k]
-        elif k == 0:
-            out[qi] = fs[0]  # constant tail below min S
-        elif k == len(xs):
-            out[qi] = fs[-1]  # constant tail above max S
-        else:
-            a, b = xs[k - 1], xs[k]
-            out[qi] = fs[k - 1] + (q - a) / (b - a) * (fs[k] - fs[k - 1])
+    k = np.searchsorted(xs, qs)
+    # exact hits and the constant tails below min S and above max S take
+    # the anchor row itself
+    out = fs[np.minimum(k, len(xs) - 1)]
+    inner = (k > 0) & (k < len(xs))
+    inner[inner] = xs[k[inner]] != qs[inner]
+    k = k[inner]
+    a, b = xs[k - 1], xs[k]
+    out[inner] = fs[k - 1] + ((qs[inner] - a) / (b - a))[:, None] * (fs[k] - fs[k - 1])
     if scalar_query:
         return out[0]
     return out
@@ -501,8 +497,8 @@ def feasibility_at_K(problem, K, tol=DEFAULT_TOL, max_iter=MAX_ROUNDS):
     with the best values found. Every Feasible checks its own values: a
     ``verify_extension`` residual above tol (1 + K max d) makes it Unknown.
     """
-    if K <= 0.0:
-        raise StructureError("K must be positive")
+    if not 0.0 < K < np.inf:
+        raise StructureError("K must be positive and finite")
     bound = tol * (1.0 + K * float(np.max(problem.domain.dist)))
     if len(problem.subset) == problem.domain.n:
         values = np.zeros((problem.domain.n, problem.target.dim))

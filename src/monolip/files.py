@@ -59,34 +59,31 @@ def poset_from_dict(doc, where="poset"):
         raise SchemaError("dist must be a square matrix", context=where)
     if d.shape[0] != len(labels):
         raise SchemaError("dist size must match labels", context=where)
+    for pair in order:
+        # booleans, floats and strings are not indices
+        if not isinstance(pair, list) or len(pair) != 2 or any(type(v) is not int for v in pair):
+            raise SchemaError(f"order entries must be [i, j] pairs, got {pair!r}", where)
+    try:
+        poset = poset_mod.FiniteMetricPoset(
+            labels=tuple(str(x) for x in labels), dist=d, order=order
+        )
+    except StructureError as exc:
+        raise SchemaError(str(exc), context=where)
+    # the constructor has rejected non-finite distances, so d - d.T is defined
     bad = np.argwhere(np.abs(d - d.T) > 1e-12)
     if bad.size:
         i, j = bad[0]
         raise SchemaError(
             f"dist is not symmetric at entry ({i}, {j})", context=where
         )
-    pairs = []
-    for pair in order:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
-        ):
-            raise SchemaError(f"order entries must be [i, j] pairs, got {pair!r}", where)
-        pairs.append(tuple(pair))
-    try:
-        return poset_mod.FiniteMetricPoset(
-            labels=tuple(str(x) for x in labels), dist=d, order=frozenset(pairs)
-        )
-    except StructureError as exc:
-        raise SchemaError(str(exc), context=where)
+    return poset
 
 
 def poset_to_dict(poset):
     return {
         "labels": list(poset.labels),
         "dist": poset.dist.tolist(),
-        "order": sorted([i, j] for i, j in poset.order),
+        "order": np.argwhere(poset.order_matrix).tolist(),
     }
 
 
@@ -163,6 +160,9 @@ def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
     else:
         raise SchemaError("poset must be a path or inline object", context=where)
     subset = _require(doc, "subset", list, where)
+    for s in subset:
+        if type(s) is not int:
+            raise SchemaError(f"subset entries must be integers, got {s!r}", context=where)
     target_doc = _require(doc, "target", dict, where)
     kind = _require(target_doc, "kind", str, f"{where}.target")
     if kind == "scalar":

@@ -135,11 +135,10 @@ def _scalar_modulus(poset, witness):
 
 def _subposet(poset, indices):
     sub = np.ix_(indices, indices)
-    rows, cols = np.nonzero(poset.order_matrix[sub])
-    order = frozenset(zip(rows.tolist(), cols.tolist()))
-    dist = poset.dist[sub]
     labels = tuple(poset.labels[i] for i in indices)
-    return poset_mod.FiniteMetricPoset(labels=labels, dist=dist, order=order)
+    return poset_mod.FiniteMetricPoset(
+        labels=labels, dist=poset.dist[sub], order=poset.order_matrix[sub]
+    )
 
 
 def e2_lower_bound(poset, target, tol=1e-9, triple_cap=poset_mod.DEFAULT_TRIPLE_CAP):

@@ -1,14 +1,15 @@
 """Finite partially ordered metric spaces.
 
 Holds the domain object of every extension problem: a list of labelled
-points, a distance matrix, and a partial-order relation given as a set of
-index pairs. Provides axiom validation, the strict-or-incomparable
-relation, radiality checking with witness extraction, and a lattice
-instance generator.
+points, a distance matrix, and a partial order stored as a boolean matrix
+(index pairs are accepted and converted). Provides axiom validation, the
+strict-or-incomparable relation, radiality checking with witness
+extraction, and a lattice instance generator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -27,54 +28,64 @@ DEFAULT_TRIPLE_CAP = 10**6
 SCAN_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMetricPoset:
-    """Points with a symmetric distance matrix and a partial order.
+    """Points with a distance matrix and a partial order.
 
-    ``order`` contains index pairs (i, j) meaning point i >= point j; the
-    reflexive pairs are expected to be present (``validate`` checks this).
+    The order is stored once, as the read-only boolean ``order_matrix``
+    (G[i, j] iff point i >= point j; ``validate`` checks the reflexive
+    pairs). The constructor takes ``order`` as that (n, n) boolean array or
+    as index pairs (i, j); the pair set ``order`` is derived on first read.
     """
 
     labels: tuple
     dist: np.ndarray
-    order: frozenset
-    #: Boolean matrix G with G[i, j] iff i >= j (read-only, built once).
-    order_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    order_matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        n = len(self.labels)
+    def __init__(self, labels, dist, order):
+        object.__setattr__(self, "labels", tuple(labels))
+        d = np.asarray(dist, dtype=float)
+        n = self.n
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise StructureError("distance matrix must be square")
         if d.shape[0] != n:
             raise StructureError("distance matrix size must match labels")
-        flat = np.fromiter(itertools.chain.from_iterable(self.order), dtype=np.int64)
-        if flat.size != 2 * len(self.order):
-            raise StructureError("order entries must be (i, j) pairs")
-        rows, cols = flat.reshape(-1, 2).T
-        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise StructureError(f"order pair ({rows[k]}, {cols[k]}) out of range")
-        pairs = frozenset(zip(rows.tolist(), cols.tolist()))
-        g = np.zeros((n, n), dtype=bool)
-        g[rows, cols] = True
+        if not np.isfinite(d).all():
+            raise StructureError("distances must be finite")
+        if isinstance(order, np.ndarray) and order.dtype == bool:
+            if order.shape != (n, n):
+                raise StructureError("order matrix must be n x n")
+            g = order.copy()
+        else:
+            flat = np.fromiter(itertools.chain.from_iterable(order), dtype=np.int64)
+            if flat.size != 2 * len(order):
+                raise StructureError("order entries must be (i, j) pairs")
+            rows, cols = flat.reshape(-1, 2).T
+            outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+            if outside.any():
+                k = int(np.argmax(outside))
+                raise StructureError(f"order pair ({rows[k]}, {cols[k]}) out of range")
+            g = np.zeros((n, n), dtype=bool)
+            g[rows, cols] = True
         g.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "order", pairs)
         object.__setattr__(self, "order_matrix", g)
+
+    @functools.cached_property
+    def order(self):
+        """The order as a frozenset of index pairs (i, j) with i >= j."""
+        return frozenset(map(tuple, np.argwhere(self.order_matrix).tolist()))
 
     @property
     def n(self):
         return len(self.labels)
 
     def geq(self, i, j):
-        return (i, j) in self.order
+        return bool(0 <= i < self.n and 0 <= j < self.n and self.order_matrix[i, j])
 
     def bullet(self, i, j):
         """i >=* j: strict dominance or incomparability (not j >= i)."""
-        return (j, i) not in self.order
+        return not self.geq(j, i)
 
 
 def bullet(poset, x, y):
@@ -286,9 +297,7 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
     diff = points[:, None, :] - points[None, :, :]
     dist = cones.norm_many(diff, cone.norm)
     geq = cones.contains_many(cone, diff.reshape(n * n, -1), tol).reshape(n, n)
-    rows, cols = np.nonzero(geq | np.eye(n, dtype=bool))
-    order = frozenset(zip(rows.tolist(), cols.tolist()))
-    return FiniteMetricPoset(labels=tuple(labels), dist=dist, order=order)
+    return FiniteMetricPoset(labels=labels, dist=dist, order=geq | np.eye(n, dtype=bool))
 
 
 def grid_instance(dim, side, spacing, cone, size_cap=4096, tol=DEFAULT_TOL):
@@ -304,9 +313,6 @@ def grid_instance(dim, side, spacing, cone, size_cap=4096, tol=DEFAULT_TOL):
 def chain_instance(positions):
     """Linearly ordered points of the real line (a radial poset)."""
     pos = np.sort(np.asarray(positions, dtype=float))
-    n = pos.shape[0]
     dist = np.abs(pos[:, None] - pos[None, :])
-    rows, cols = np.nonzero(pos[:, None] >= pos[None, :])
-    order = frozenset(zip(rows.tolist(), cols.tolist()))
     labels = tuple(format(p, "g") for p in pos)
-    return FiniteMetricPoset(labels=labels, dist=dist, order=order)
+    return FiniteMetricPoset(labels=labels, dist=dist, order=pos[:, None] >= pos[None, :])

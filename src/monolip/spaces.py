@@ -100,9 +100,9 @@ class HilbertRay:
         return max(t, 0.0)
 
 
-def hilbert_ray_from_cone(cone, seed=0):
+def hilbert_ray_from_cone(cone):
     """Hilbert ray along a monotone direction extracted from the cone."""
-    e = cones.monotone_direction(cone, seed=seed)
+    e = cones.monotone_direction(cone)
     return HilbertRay(dim=cone.dim, e=e, cone=cone)
 
 

@@ -631,3 +631,38 @@ def test_problem_rejects_non_monotone_f():
         ml.ExtensionProblem(
             domain=domain, subset=(0, 1), target=ml.scalar_cone(), f=[[0.5], [0.0]]
         )
+
+
+
+def _line_extend_loop(xs, fs, qs):
+    """The per-query loop that ``line_extend`` ran before it was batched."""
+    out = np.empty((len(qs), fs.shape[1]))
+    for qi, q in enumerate(qs):
+        k = int(np.searchsorted(xs, q))
+        if k < len(xs) and xs[k] == q:
+            out[qi] = fs[k]
+        elif k == 0:
+            out[qi] = fs[0]
+        elif k == len(xs):
+            out[qi] = fs[-1]
+        else:
+            a, b = xs[k - 1], xs[k]
+            out[qi] = fs[k - 1] + (q - a) / (b - a) * (fs[k] - fs[k - 1])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_interpolation_matches_the_per_query_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    anchors = np.unique(np.round(rng.uniform(-5.0, 5.0, size=int(rng.integers(1, 8))), 1))
+    xs, fs = monotone_line_map(rng, anchors, m)
+    fs[0] = -0.0  # the constant tail and the hit must keep the sign of zero
+    qs = np.concatenate([xs, np.round(rng.uniform(-7.0, 7.0, size=6), 2), [-np.inf, np.inf]])
+    perm = rng.permutation(len(xs))
+    got = ml.line_extend(xs[perm], fs[perm], qs, cone=ml.orthant(m))
+    ref = _line_extend_loop(xs, fs, qs)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    one = ml.line_extend(xs[perm], fs[perm], float(qs[-3]), cone=ml.orthant(m))
+    assert one.shape == (m,) and np.array_equal(one, ref[-3])

@@ -1,11 +1,14 @@
 """Metric-poset validation, the bullet relation, and radiality checks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monolip as ml
+from monolip import files, poset as poset_mod
 from monolip.errors import SizeCapError, StructureError
 
 from conftest import naive_radiality_witnesses, random_metric_poset
@@ -208,3 +211,64 @@ def test_grid_order_is_a_partial_order(rng):
 def test_grid_size_cap():
     with pytest.raises(SizeCapError):
         ml.grid_instance(3, 20, 1.0, ml.orthant(3), size_cap=100)
+
+
+# ---------------------------------------------------------------------------
+# the stored order: one boolean matrix, pairs derived on first read
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), chain=st.booleans())
+def test_matrix_and_pair_inputs_give_the_same_poset(seed, chain):
+    rng = np.random.default_rng(seed)
+    if chain:
+        p = ml.chain_instance(np.round(rng.uniform(-8.0, 8.0, size=int(rng.integers(1, 15))), 1))
+    else:
+        p = random_metric_poset(rng, max_points=12)
+    n = p.n
+    expected = {(i, j) for i in range(n) for j in range(n) if p.order_matrix[i, j]}
+    from_matrix = ml.FiniteMetricPoset(p.labels, p.dist, p.order_matrix)
+    from_pairs = ml.FiniteMetricPoset(p.labels, p.dist, sorted(p.order))
+    for q in (from_matrix, from_pairs):
+        assert isinstance(q.order, frozenset) and q.order == expected
+        assert all(type(i) is int and type(j) is int for i, j in q.order)
+        np.testing.assert_array_equal(q.order_matrix, p.order_matrix)
+        assert not q.order_matrix.flags.writeable
+        for i in range(-1, n + 1):
+            for j in range(-1, n + 1):
+                assert q.geq(i, j) is ((i, j) in expected)
+                assert q.bullet(i, j) is ((j, i) not in expected)
+    assert ml.validate(from_matrix) == ml.validate(from_pairs)
+    assert ml.check_radiality(from_matrix) == ml.check_radiality(from_pairs)
+    assert poset_mod.max_ratio_witness(from_matrix) == poset_mod.max_ratio_witness(from_pairs)
+    text = json.dumps(files.poset_to_dict(from_matrix))
+    assert text == json.dumps(files.poset_to_dict(from_pairs))
+    assert json.loads(text)["order"] == sorted([i, j] for i, j in expected)
+    back = files.poset_from_dict(json.loads(text))
+    assert back.order == expected
+    np.testing.assert_array_equal(back.order_matrix, p.order_matrix)
+
+
+def test_order_pairs_are_built_only_when_read():
+    p = witness_poset()
+    ml.validate(p)
+    ml.check_radiality(p)
+    problem = ml.ExtensionProblem(
+        domain=p, subset=(0, 1), target=ml.scalar_cone(), f=[[math.sqrt(5.0)], [0.0]]
+    )
+    ml.scalar_extend(problem)
+    assert "order" not in vars(p)
+    assert p.order == {(0, 0), (1, 1), (2, 2), (1, 2)}
+    assert "order" in vars(p)
+
+
+def test_order_matrix_input_is_checked_and_copied():
+    g = np.eye(2, dtype=bool)
+    p = ml.FiniteMetricPoset(("a", "b"), [[0, 1], [1, 0]], g)
+    g[0, 1] = True
+    assert not p.geq(0, 1)
+    with pytest.raises(StructureError, match="n x n"):
+        ml.FiniteMetricPoset(("a", "b"), [[0, 1], [1, 0]], np.eye(3, dtype=bool))
+    with pytest.raises(StructureError, match=r"\(i, j\) pairs"):
+        _poset([[0, 1], [1, 0]], {(0, 0, 1)})
