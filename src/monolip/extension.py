@@ -274,7 +274,10 @@ class _ScalarPaths:
         return bool(np.all(self.rise <= bound + self.tol * (1.0 + bound)))
 
     def values(self, K):
-        return np.min(self.f[:, None] + K * self.D, axis=0)[:, None]
+        # one (n, 1) array, not a view of an (n,) one: results are often kept
+        out = np.empty((self.D.shape[1], 1))
+        np.min(self.f[:, None] + K * self.D, axis=0, out=out[:, 0])
+        return out
 
 
 # ---------------------------------------------------------------------------

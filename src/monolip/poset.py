@@ -23,8 +23,8 @@ DEFAULT_TOL = 1e-9
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
 
-#: Largest block of the array radiality scan, in triples. Larger blocks save
-#: little time and leave larger temporaries behind in the heap.
+#: Largest block of the radiality witness enumeration, in triples. Larger
+#: blocks save little time and leave larger temporaries behind in the heap.
 SCAN_BLOCK = 1 << 16
 
 
@@ -57,6 +57,10 @@ class FiniteMetricPoset:
                 raise StructureError("order matrix must be n x n")
             g = order.copy()
         else:
+            for pair in order:
+                # booleans, floats and strings are not indices
+                if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in pair):
+                    raise StructureError(f"order entries must be integer pairs, got {pair!r}")
             flat = np.fromiter(itertools.chain.from_iterable(order), dtype=np.int64)
             if flat.size != 2 * len(order):
                 raise StructureError("order entries must be (i, j) pairs")
@@ -151,7 +155,9 @@ def validate(poset, tol=DEFAULT_TOL):
         out.append(Violation("reflexivity", (i,), f"({i},{i}) missing"))
     for i, j in np.argwhere(np.triu(g & g.T, 1)).tolist():
         out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
-    closure = g @ g
+    # a float product runs in BLAS and is exact for these 0/1 sums
+    gf = g.astype(float)
+    closure = (gf @ gf) > 0
     for i, j in np.argwhere(closure & ~g).tolist():
         out.append(Violation("transitivity", (i, j), f"({i},{j}) missing"))
     return ValidationReport(tuple(out))
@@ -188,12 +194,25 @@ def _check_cap(n, triple_cap):
         )
 
 
-def _witness_blocks(poset, tol, triple_cap):
-    """Yield (kind, start, mask, lhs, rhs) over blocks of x, RD1 blocks first.
+def _witness_mask(d, g, strict, kind, xs, tol):
+    """``mask[c, y, z]`` marks the witness (kind, (xs.start + c, y, z))."""
+    lhs = d[xs][:, None, :]  # d(x, z)
+    if kind == "RD1":  # x >=* y > z
+        rhs = d[xs][:, :, None]  # d(x, y)
+        mask = ~g[:, xs].T[:, :, None] & strict
+    else:  # x > y >=* z
+        rhs = d[None]  # d(y, z)
+        mask = strict[xs][:, :, None] & ~g.T
+    mask &= lhs < rhs - tol
+    return mask
 
-    ``mask[c, y, z]`` marks the witness (kind, (start + c, y, z)); ``lhs`` and
-    ``rhs`` broadcast to the mask's shape. A block holds at most about
-    SCAN_BLOCK triples (one x at least), so the scan runs in O(n^2) memory.
+
+def _witness_blocks(poset, tol, triple_cap):
+    """Yield (kind, start, mask) over blocks of x, RD1 blocks first.
+
+    ``mask[c, y, z]`` marks the witness (kind, (start + c, y, z)). A block
+    holds at most about SCAN_BLOCK triples (one x at least), so the scan
+    runs in O(n^2) memory.
     """
     _check_cap(poset.n, triple_cap)
     d = poset.dist
@@ -206,15 +225,7 @@ def _witness_blocks(poset, tol, triple_cap):
         start, step = 0, 1
         while start < n:
             xs = slice(start, start + step)
-            lhs = d[xs][:, None, :]  # d(x, z)
-            if kind == "RD1":  # x >=* y > z
-                rhs = d[xs][:, :, None]  # d(x, y)
-                mask = ~g[:, xs].T[:, :, None] & strict
-            else:  # x > y >=* z
-                rhs = d[None]  # d(y, z)
-                mask = strict[xs][:, :, None] & ~g.T
-            mask &= lhs < rhs - tol
-            yield kind, start, mask, lhs, rhs
+            yield kind, start, _witness_mask(d, g, strict, kind, xs, tol)
             start, step = start + step, min(2 * step, most)
 
 
@@ -226,29 +237,66 @@ def _witness(d, kind, x, y, z):
 def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     """Yield every radiality violation, RD1 triples first, in lexicographic
     order of (kind, x, y, z). Witnesses require lhs < rhs - tol."""
-    for kind, start, mask, _, _ in _witness_blocks(poset, tol, triple_cap):
+    for kind, start, mask in _witness_blocks(poset, tol, triple_cap):
         for c, y, z in np.argwhere(mask).tolist():
             yield _witness(poset.dist, kind, start + c, y, z)
+
+
+def _best_ratios(values, allowed, lhs, tol):
+    """``ratio[r, c]``: the largest rhs / ``lhs[r, c]`` over the rhs
+    ``values[y, c]`` with ``allowed[r, y]`` and lhs < rhs - tol; -inf if none.
+
+    ``top[r, c]``, the largest allowed rhs, is one masked reduction over the
+    (r, y, c) cube, which numpy walks without building it. For lhs >= 0 the
+    best ratio is ``top / lhs``, since fl(a / b) is monotone in a, taken
+    where lhs < top - tol, which holds iff some rhs qualifies, because
+    fl(a - tol) is monotone too.
+    """
+    n = len(values)
+    cube = np.broadcast_to(values, (len(allowed), n, n))
+    top = np.maximum.reduce(cube, axis=1, where=allowed[:, :, None], initial=-np.inf)
+    hit = lhs < top - tol
+    ratio = np.full(lhs.shape, -np.inf)
+    np.divide(top, lhs, out=ratio, where=hit)
+    # a negative lhs (not a metric) turns the order of the ratios round
+    for r, c in np.argwhere(hit & np.signbit(lhs)).tolist():
+        rhs = values[allowed[r], c]
+        ratio[r, c] = (rhs[lhs[r, c] < rhs - tol] / lhs[r, c]).max()
+    return ratio
 
 
 def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     """The witness of largest ratio rhs/lhs, or None if the poset is radial.
 
-    Ties go to the first in ``iter_radiality_witnesses`` order.
+    Ties go to the first in ``iter_radiality_witnesses`` order: the scan
+    finds the best ratio at every (kind, x, z), and only the first x whose
+    row reaches the maximum is enumerated, to find its first witness of
+    that ratio. The scan runs in O(n^2) memory.
     """
-    best, best_ratio = None, -np.inf
-    for kind, start, mask, lhs, rhs in _witness_blocks(poset, tol, triple_cap):
-        hit = np.nonzero(mask)
-        if not hit[0].size:
-            continue
-        # nonzero lists hits in row-major order, so argmax finds the first maximum
-        ratio = np.broadcast_to(rhs, mask.shape)[hit] / np.broadcast_to(lhs, mask.shape)[hit]
-        k = int(np.argmax(ratio))
-        if ratio[k] > best_ratio:
-            best_ratio = ratio[k]
-            c, y, z = (int(a[k]) for a in hit)
-            best = _witness(poset.dist, kind, start + c, y, z)
-    return best
+    _check_cap(poset.n, triple_cap)
+    d = poset.dist
+    g = poset.order_matrix
+    strict = _strict_matrix(poset)
+    with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
+        ratios = np.stack(
+            [
+                # RD1, x >=* y > z: rhs d(x, y) over y, reduced as [z, x]
+                _best_ratios(
+                    np.where(~g, d.T, -np.inf), np.ascontiguousarray(strict.T), d.T, tol
+                ).T,
+                # RD2, x > y >=* z: rhs d(y, z) over y, reduced as [x, z]
+                _best_ratios(np.where(~g.T, d, -np.inf), strict, d, tol),
+            ]
+        )
+        best = ratios.max(initial=-np.inf)
+        if not best > -np.inf:
+            return None
+        k, x, _ = np.unravel_index(np.argmax(ratios), ratios.shape)
+        kind, x = ("RD1", "RD2")[k], int(x)
+        y, z = np.nonzero(_witness_mask(d, g, strict, kind, slice(x, x + 1), tol)[0])
+        rhs = d[x, y] if kind == "RD1" else d[y, z]
+        i = int(np.argmax(rhs / d[x, z] == best))
+    return _witness(d, kind, x, int(y[i]), int(z[i]))
 
 
 def check_radiality(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):

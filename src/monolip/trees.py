@@ -47,8 +47,8 @@ class RTree:
         for u, v, length in self.edges:
             if u not in self._index or v not in self._index:
                 raise StructureError(f"edge ({u}, {v}) references unknown vertex")
-            if length <= 0.0:
-                raise StructureError(f"edge ({u}, {v}) must have positive length")
+            if not 0.0 < length < np.inf:  # NaN fails both comparisons
+                raise StructureError(f"edge ({u}, {v}) must have positive finite length")
             self._adj[u].append((v, length))
             self._adj[v].append((u, length))
         self._edge_set = {frozenset((u, v)): length for u, v, length in self.edges}
@@ -64,6 +64,7 @@ class RTree:
         self._ray_param = {v: self._depth_len[v] for v in path}
         self.ray_length = self._depth_len[end]
         self._dist_cache = {}
+        self._hitting_cache = {}
 
     def _check_tree(self):
         if len(self.edges) != len(self.vertices) - 1:
@@ -190,8 +191,17 @@ class RTree:
     # -- ray geometry ----------------------------------------------------------
 
     def hitting(self, a):
-        """(t_a, m_a, d(a, m_a)): where the geodesic from a merges with the ray."""
+        """(t_a, m_a, d(a, m_a)): where the geodesic from a merges with the ray.
+
+        Computed once per vertex and kept, like the vertex distances."""
         p = self.canon(a)
+        if p[0] == "V":
+            if p[1] not in self._hitting_cache:
+                self._hitting_cache[p[1]] = self._hitting(p)
+            return self._hitting_cache[p[1]]
+        return self._hitting(p)
+
+    def _hitting(self, p):
         t = self.on_ray_param(p)
         if t is not None:
             return t, p, 0.0

@@ -83,3 +83,42 @@ def test_poset_order_needs_integer_indices():
     doc["order"].append([True, False])
     with pytest.raises(SchemaError, match=r"\[True, False\]"):
         files.poset_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "pair", [(1.7, "0"), (0, 1.0), ("0", "1"), (True, False), (np.float64(1.0), 0)]
+)
+def test_poset_order_pairs_need_integer_indices(pair):
+    with pytest.raises(StructureError, match="integer pairs"):
+        ml.FiniteMetricPoset(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], {(0, 0), (1, 1), pair})
+
+
+def test_poset_order_pairs_take_numpy_integers():
+    pairs = np.array([[0, 0], [1, 1], [1, 0]])
+    p = ml.FiniteMetricPoset(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [tuple(r) for r in pairs])
+    assert p.order == {(0, 0), (1, 1), (1, 0)}
+
+
+def _tripod_doc(branch):
+    return {
+        "vertices": ["root", "p", "end", "leaf"],
+        "edges": [["root", "p", 2.0], ["p", "end", 5.0], ["p", "leaf", branch]],
+        "root": "root",
+        "end": "end",
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_tree_edge_lengths_must_be_positive_and_finite(bad):
+    with pytest.raises(StructureError, match="positive finite length"):
+        ml.RTree(**_tripod_doc(bad))
+    with pytest.raises(SchemaError, match="positive finite length"):
+        files.tree_from_dict(_tripod_doc(bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cli_refuses_non_finite_edge_lengths(tmp_path, capsys, bad):
+    path = _write(tmp_path, "t.json", _tripod_doc(bad))
+    code = cli.dispatch(["busemann", "--space", "tree", "--tree", path, "--point", "leaf"])
+    assert code == 2
+    assert "positive finite length" in capsys.readouterr().err
