@@ -1,5 +1,5 @@
 """Pointed convex cones in R^m: membership, projection, Moreau splits,
-and extraction of a monotone direction lying in both the cone and its dual.
+and a monotone direction in C ∩ C* from two projections, no facet form.
 
 A cone is described by generators (conic hull of finitely many vectors),
 by halfspaces (intersection of homogeneous halfspaces), or both. The inner
@@ -15,26 +15,16 @@ are their one-row forms.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NoDirectionError, StructureError
+from .errors import NoDirectionError, NumericInstabilityError, StructureError
 
 NORMS = ("l1", "l2", "linf")
 
 DEFAULT_TOL = 1e-9
-
-#: Facet enumeration for generated->dual conversion is only attempted up
-#: to this ambient dimension; beyond it dual membership is checked against
-#: the generators directly.
-FACET_ENUM_MAX_DIM = 8
-
-#: ``monotone_direction`` falls back to this many seeded random samples.
-DIRECTION_SEED = 0
-DIRECTION_SAMPLES = 10_000
 
 
 def norm_many(V, tag):
@@ -316,111 +306,32 @@ def is_pointed(cone, tol=DEFAULT_TOL):
     return int(np.linalg.matrix_rank(cone.halfspaces, tol=1e-10)) == cone.dim
 
 
-def extreme_rays(normals, dim, tol=1e-10):
-    """Extreme rays of {x : <n_j, x> >= 0}, by facet enumeration.
-
-    Enumerates (dim-1)-subsets of the normals, takes one-dimensional
-    nullspaces, and keeps sign-feasible directions. Intended for desk-scale
-    cones (dim <= 8).
-    """
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    if dim == 1:
-        rays = []
-        for s in (1.0, -1.0):
-            v = np.array([s])
-            if np.all(normals @ v >= -tol):
-                rays.append(v)
-        return rays
-    rays = []
-    for subset in itertools.combinations(range(normals.shape[0]), dim - 1):
-        sub = normals[list(subset)]
-        _, s, vt = np.linalg.svd(sub)
-        nullity = dim - int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-        if nullity != 1:
-            continue
-        v = vt[-1]
-        for cand in (v, -v):
-            if np.all(normals @ cand >= -tol):
-                if not any(np.linalg.norm(cand - r) <= 1e-8 for r in rays):
-                    rays.append(cand / np.linalg.norm(cand))
-    return rays
-
-
-def dual_generators(cone, tol=1e-10):
-    """Generators of the dual cone C*, or None when enumeration is off-range.
-
-    For a halfspace cone the dual is generated by the normals themselves; a
-    generated cone needs facet enumeration of {v : <g_i, v> >= 0}.
-    """
-    if cone.generators is None:
-        return [n / np.linalg.norm(n) for n in cone.halfspaces]
-    if cone.dim > FACET_ENUM_MAX_DIM:
-        return None
-    if cone.generators.shape[0] == 0:
-        return None
-    return extreme_rays(cone.generators, cone.dim, tol=tol)
-
-
-def halfspace_form(cone, tol=1e-10):
-    """Halfspace normals describing the cone, or None when unobtainable.
-
-    C = {x : <h, x> >= 0 for h generating C*}; for generated cones this
-    goes through facet enumeration and is limited to dim <= 8. Generators
-    that do not span R^m give None: the enumeration finds only the normals
-    of their span's complement, which describe a larger set than the cone.
-    """
-    if cone.halfspaces is not None:
-        return [np.asarray(n, dtype=float) for n in cone.halfspaces]
-    if np.linalg.matrix_rank(cone.generators, tol=tol) < cone.dim:
-        return None
-    return dual_generators(cone, tol=tol)
-
-
 def monotone_direction(cone, tol=DEFAULT_TOL):
-    """A unit vector e with e in C and e in C*.
+    """A unit vector e in C ∩ C*, from two projections (Moreau's decomposition).
 
-    Follows the projection argument: find a in C* \\ -C*, set b = P_C(a),
-    normalize. Candidates are the dual generators (when enumerable), then
-    seeded random samples projected onto C*.
+    Candidates a lie in C*: a = g + P_C(-g) = P_C*(g) for each unit generator
+    g, or each unit halfspace normal. Then b = P_C(a) lies in C ∩ C*. A g off
+    the lineality space of C has <a, g> = |g|^2 - |P_C(-g)|^2 > 0, so b != 0;
+    so does a normal not orthogonal to C. The first b with |b| > tol gives
+    e = b / |b|. ``NoDirectionError`` is raised exactly when C is {0} or a
+    subspace, where C ∩ C* = {0}; ``NumericInstabilityError`` if e fails its
+    membership checks at 10 tol.
     """
-    if cone.is_trivial:
-        raise NoDirectionError("the trivial cone has no monotone direction")
-
-    def in_dual(v):
-        return dual_contains(cone, v, tol)
-
-    def try_candidate(a):
-        a = np.asarray(a, dtype=float)
-        if np.linalg.norm(a) <= tol:
-            return None
-        if not in_dual(a) or in_dual(-a):
-            return None
+    if cone.generators is not None:
+        candidates = (g + project_cone(cone, -g) for g in _unit_rows(cone.generators))
+    else:
+        candidates = _unit_rows(cone.halfspaces)
+    for a in candidates:
         b = project_cone(cone, a)
         nb = np.linalg.norm(b)
         if nb <= tol:
-            return None
+            continue
         e = b / nb
-        if contains(cone, e, 10 * tol) and dual_contains(cone, e, 10 * tol):
-            return e
-        return None
+        if not (contains(cone, e, 10 * tol) and dual_contains(cone, e, 10 * tol)):
+            raise NumericInstabilityError(f"monotone direction {e} fails its cone check")
+        return e
+    raise NoDirectionError("a cone that is {0} or a subspace has no monotone direction")
 
-    duals = dual_generators(cone)
-    candidates = list(duals) if duals else []
-    if candidates:
-        candidates.append(np.sum(candidates, axis=0))
-    for a in candidates:
-        e = try_candidate(a)
-        if e is not None:
-            return e
 
-    rng = np.random.default_rng(DIRECTION_SEED)
-    for _ in range(DIRECTION_SAMPLES):
-        x = rng.standard_normal(cone.dim)
-        a = x + project_cone(cone, -x)  # = P_{C*}(x) by Moreau
-        e = try_candidate(a)
-        if e is not None:
-            return e
-    raise ConvergenceError(
-        "no monotone direction found within the sampling budget; "
-        "for a pointed nontrivial cone this indicates a bug"
-    )
+def _unit_rows(rows):
+    return rows / np.linalg.norm(rows, axis=1)[:, None]

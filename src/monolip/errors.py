@@ -33,7 +33,7 @@ class NumericInstabilityError(MonolipError):
 
 
 class NoDirectionError(MonolipError):
-    """The trivial cone admits no monotone direction."""
+    """The cone is {0} or a subspace, so it admits no monotone direction."""
 
 
 class RadialityRequiredError(MonolipError):

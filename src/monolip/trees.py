@@ -63,7 +63,7 @@ class RTree:
         self.ray_vertices = path
         self._ray_param = {v: self._depth_len[v] for v in path}
         self.ray_length = self._depth_len[end]
-        self._dist_cache = {}
+        self._dist_rows = [None] * len(self.vertices)
         self._hitting_cache = {}
 
     def _check_tree(self):
@@ -96,10 +96,15 @@ class RTree:
     # -- vertex-level metric -------------------------------------------------
 
     def vertex_distance(self, u, v):
-        if u not in self._dist_cache:
-            _, dist = self._bfs_tree(u)
-            self._dist_cache[u] = dist
-        return self._dist_cache[u][v]
+        return self._dist_row(self._index[u])[self._index[v]]
+
+    def _dist_row(self, i):
+        """Distances from vertex number i to every vertex, in ``_index`` order."""
+        row = self._dist_rows[i]
+        if row is None:
+            _, dist = self._bfs_tree(self.vertices[i])
+            row = self._dist_rows[i] = [dist[v] for v in self.vertices]
+        return row
 
     def edge_length(self, u, v):
         key = frozenset((u, v))
@@ -163,13 +168,13 @@ class RTree:
         return tu + off * (1.0 if tv > tu else -1.0)
 
     def _anchors(self, p):
-        """(vertex, weight) pairs through which every path from p passes."""
+        """(vertex number, weight) pairs through which every path from p passes."""
         if p[0] == "V":
-            return [(p[1], 0.0)]
+            return ((self._index[p[1]], 0.0),)
         if p[0] == "B":
-            return [(self.end, p[1] - self.ray_length)]
+            return ((self._index[self.end], p[1] - self.ray_length),)
         _, u, v, off = p
-        return [(u, off), (v, self.edge_length(u, v) - off)]
+        return ((self._index[u], off), (self._index[v], self.edge_length(u, v) - off))
 
     def distance(self, a, b):
         a = self.canon(a)
@@ -179,11 +184,11 @@ class RTree:
         if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
             offa = a[3] if a[1] == b[1] else self.edge_length(*a[1:3]) - a[3]
             return abs(offa - b[3])
-        return min(
-            wa + self.vertex_distance(va, vb) + wb
-            for va, wa in self._anchors(a)
-            for vb, wb in self._anchors(b)
-        )
+        at_a, at_b = self._anchors(a), self._anchors(b)
+        if len(at_a) == len(at_b) == 1:  # vertices and tail points
+            (ia, wa), (ib, wb) = at_a[0], at_b[0]
+            return wa + self._dist_row(ia)[ib] + wb
+        return min(wa + self._dist_row(ia)[ib] + wb for ia, wa in at_a for ib, wb in at_b)
 
     def same_point(self, a, b, tol=_POINT_EQ_TOL):
         return self.distance(a, b) <= tol
@@ -273,14 +278,14 @@ class RTree:
         if total <= _POINT_EQ_TOL:
             return [(a, 0.0)]
         exit_a, w_a = min(
-            ((va, wa) for va, wa in self._anchors(a)),
-            key=lambda vw: vw[1] + min(
-                self.vertex_distance(vw[0], vb) + wb for vb, wb in self._anchors(b)
+            self._anchors(a),
+            key=lambda iw: iw[1] + min(
+                self._dist_row(iw[0])[ib] + wb for ib, wb in self._anchors(b)
             ),
         )
         enter_b, w_b = min(
-            ((vb, wb) for vb, wb in self._anchors(b)),
-            key=lambda vw: w_a + self.vertex_distance(exit_a, vw[0]) + vw[1],
+            self._anchors(b),
+            key=lambda iw: w_a + self._dist_row(exit_a)[iw[0]] + iw[1],
         )
         # Same-edge and tail special cases have no intermediate vertices.
         if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
@@ -289,7 +294,7 @@ class RTree:
             return [(a, 0.0), (b, total)]
         out = [(a, 0.0)]
         cum = w_a
-        path = self._vertex_path(exit_a, enter_b)
+        path = self._vertex_path(self.vertices[exit_a], self.vertices[enter_b])
         for i, v in enumerate(path):
             if not self.same_point(out[-1][0], ("V", v)):
                 out.append((("V", v), cum))

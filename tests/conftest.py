@@ -28,6 +28,26 @@ def random_pointed_cone(rng, dim=None, n_gen=None):
             return cone
 
 
+def facet_normals(generators, tol=1e-10):
+    """Inward unit facet normals of a pointed cone that spans R^2 or R^3.
+
+    The candidates are the perpendiculars of the generators (R^2) or the
+    cross products of generator pairs (R^3), with both signs; a candidate
+    is a facet normal iff every generator lies on its nonnegative side.
+    """
+    G = np.asarray(generators, dtype=float)
+    G = G / np.linalg.norm(G, axis=1)[:, None]
+    if G.shape[1] == 2:
+        cands = G[:, ::-1] * np.array([-1.0, 1.0])
+    else:
+        i, j = np.triu_indices(len(G), 1)
+        cands = np.cross(G[i], G[j])
+    norms = np.linalg.norm(cands, axis=1)
+    cands = cands[norms > tol] / norms[norms > tol, None]
+    cands = np.vstack([cands, -cands])
+    return cands[np.all(G @ cands.T >= -tol, axis=0)]
+
+
 def random_metric_poset(rng, max_points=20):
     """Random points in the plane with the coordinatewise order (may or
     may not be radial)."""

@@ -9,7 +9,7 @@ import monolip as ml
 from monolip import cones, obstruction, poset as poset_mod, spaces
 from monolip.errors import StructureError
 
-from conftest import naive_radiality_witnesses, random_pointed_cone
+from conftest import facet_normals, naive_radiality_witnesses, random_pointed_cone
 
 SEEDS = st.integers(0, 2**32 - 1)
 FEW = settings(max_examples=40, deadline=None)
@@ -45,11 +45,11 @@ def _cone_and_generators(rng, kind):
         normals = np.vstack([np.eye(dim), -np.ones((1, dim))])
         return ml.ConeOrder(dim=dim, halfspaces=normals), np.zeros((0, dim))
     dim = int(rng.integers(2, 4))
-    # full-dimensional, so that halfspace_form describes the same cone
+    # full-dimensional, so that its facet normals describe the same cone
     gen = random_pointed_cone(rng, dim=dim, n_gen=dim + int(rng.integers(0, 3)))
     if kind == "generated":
         return gen, gen.generators
-    half = ml.ConeOrder(dim=gen.dim, halfspaces=cones.halfspace_form(gen))
+    half = ml.ConeOrder(dim=gen.dim, halfspaces=facet_normals(gen.generators))
     return half, gen.generators
 
 
@@ -129,7 +129,7 @@ def test_halfspace_projection_on_thin_cone():
     # stalled at its iteration cap for about a third of random vectors.
     normals = np.array([[0.036, 0.008, -0.999], [-0.229, 0.029, -0.973], [0.258, 0.114, 0.959]])
     cone = ml.ConeOrder(dim=3, halfspaces=normals)
-    rays = np.array(cones.extreme_rays(normals, 3))
+    rays = facet_normals(normals)
     V = np.random.default_rng(0).normal(size=(300, 3)) * 3.0
     expect = np.array([cones._nnls_fit(rays, v)[0] for v in V])
     scale = 1.0 + np.linalg.norm(V, axis=1)

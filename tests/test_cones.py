@@ -8,7 +8,7 @@ import monolip as ml
 from monolip import cones
 from monolip.errors import NoDirectionError
 
-from conftest import random_pointed_cone
+from conftest import facet_normals, random_pointed_cone
 
 
 def ray_cone():
@@ -43,22 +43,11 @@ def test_dual_contains():
 
 def test_halfspace_membership_matches_generated(rng):
     gen = wedge_cone()
-    half = ml.ConeOrder(dim=2, halfspaces=cones.halfspace_form(gen))
+    half = ml.ConeOrder(dim=2, halfspaces=facet_normals(gen.generators))
     for _ in range(200):
         v = rng.normal(size=2) * 3
         assert ml.contains(gen, v) == ml.contains(half, v)
         assert ml.dual_contains(gen, v) == ml.dual_contains(half, v)
-
-
-@pytest.mark.parametrize(
-    "gens",
-    [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 1.0]]],
-    ids=["e1-e2-in-R3", "ray-in-R2"],
-)
-def test_halfspace_form_refuses_cones_that_do_not_span(gens):
-    # Facet enumeration finds only +-e3 (or +-g_perp) here, which cut out a
-    # plane (or a line) instead of the cone.
-    assert cones.halfspace_form(ml.ConeOrder(dim=len(gens[0]), generators=gens)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def test_projection_is_1_lipschitz(rng):
 
 def test_projection_halfspace_form(rng):
     gen = wedge_cone()
-    half = ml.ConeOrder(dim=2, halfspaces=cones.halfspace_form(gen))
+    half = ml.ConeOrder(dim=2, halfspaces=facet_normals(gen.generators))
     for _ in range(100):
         a = rng.normal(size=2) * 3
         np.testing.assert_allclose(
@@ -162,9 +151,38 @@ def test_monotone_direction_wedge():
     assert ml.contains(c, e, 1e-8) and ml.dual_contains(c, e, 1e-8)
 
 
+@pytest.mark.parametrize(
+    "cone, expect",
+    [
+        (ml.ConeOrder(dim=2, generators=[[1, 0], [-1, 0], [0, 1], [0, -1]]), None),
+        (ml.ConeOrder(dim=3, generators=[[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]]), None),
+        (ml.ConeOrder(dim=2, halfspaces=[[0.0, 1.0], [0.0, -1.0]]), None),
+        (ml.ConeOrder(dim=2, halfspaces=[[0.0, 1.0]]), [0.0, 1.0]),
+    ],
+    ids=["plane", "line-in-R3", "line-by-halfspaces", "half-plane"],
+)
+def test_monotone_direction_on_subspaces_and_a_half_plane(cone, expect):
+    # A subspace C has C ∩ C* = {0}; the half-plane {y >= 0} is not pointed
+    # but is not a subspace.
+    if expect is None:
+        with pytest.raises(NoDirectionError):
+            ml.monotone_direction(cone)
+    else:
+        np.testing.assert_allclose(ml.monotone_direction(cone), expect, atol=1e-12)
+
+
 def test_monotone_direction_random_cones(rng):
-    for _ in range(100):
-        c = random_pointed_cone(rng)
+    pointed = [random_pointed_cone(rng) for _ in range(100)]
+    high = [
+        random_pointed_cone(rng, dim=d, n_gen=int(rng.integers(2, 2 * d)))
+        for d in np.repeat(np.arange(9, 13), 3)
+    ]
+    # {x : Gx >= 0} for pointed cone(G): the dual cone, given by halfspaces only
+    halfspace_only = [
+        ml.ConeOrder(dim=c.dim, halfspaces=c.generators)
+        for c in (random_pointed_cone(rng) for _ in range(50))
+    ]
+    for c in pointed + high + halfspace_only:
         e = ml.monotone_direction(c)
         assert abs(np.linalg.norm(e) - 1.0) <= 1e-12
         assert ml.contains(c, e, 1e-7) and ml.dual_contains(c, e, 1e-7)
