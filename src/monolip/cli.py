@@ -160,13 +160,24 @@ def _target_from_args(args, report):
 
 
 def _tree_point(tree, text):
-    """Parse a tree point: vertex id, 'edge:u:v:offset', or 'ray:t'."""
+    """Parse a tree point: vertex id, 'edge:u:v:offset', or 'ray:t'.
+
+    A vertex is named by its text, so integer ids (as ``gen tree`` writes
+    them) are named as digits; a string id wins over another id that
+    prints the same.
+    """
+    ids = {str(v): v for v in tree.vertices if not isinstance(v, str)}
+    ids.update((v, v) for v in tree.vertices if isinstance(v, str))
     parts = text.split(":")
-    if parts[0] == "edge" and len(parts) == 4:
-        return tree.canon(("edge", parts[1], parts[2], float(parts[3])))
-    if parts[0] == "ray" and len(parts) == 2:
-        return tree.canon(("ray", float(parts[1])))
-    return tree.canon(text)
+    try:
+        if parts[0] == "edge" and len(parts) == 4:
+            u, v = (ids.get(x, x) for x in parts[1:3])
+            return tree.canon(("edge", u, v, float(parts[3])))
+        if parts[0] == "ray" and len(parts) == 2:
+            return tree.canon(("ray", float(parts[1])))
+    except ValueError:
+        raise SchemaError(f"cannot parse tree point {text!r}")
+    return tree.canon(ids.get(text, text))
 
 
 def _witness_doc(poset, w):

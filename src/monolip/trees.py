@@ -155,7 +155,10 @@ class RTree:
 
     def on_ray_param(self, p, tol=DEFAULT_TOL):
         """Ray parameter of a point, or None if it is off the ray."""
-        p = self.canon(p)
+        return self._on_ray_param(self.canon(p))
+
+    def _on_ray_param(self, p):
+        """``on_ray_param`` of a canonical point."""
         if p[0] == "B":
             return p[1]
         if p[0] == "V":
@@ -177,8 +180,10 @@ class RTree:
         return ((self._index[u], off), (self._index[v], self.edge_length(u, v) - off))
 
     def distance(self, a, b):
-        a = self.canon(a)
-        b = self.canon(b)
+        return self._distance(self.canon(a), self.canon(b))
+
+    def _distance(self, a, b):
+        """``distance`` between canonical points."""
         if a[0] == "B" and b[0] == "B":
             return abs(a[1] - b[1])
         if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
@@ -199,22 +204,24 @@ class RTree:
         """(t_a, m_a, d(a, m_a)): where the geodesic from a merges with the ray.
 
         Computed once per vertex and kept, like the vertex distances."""
-        p = self.canon(a)
-        if p[0] == "V":
-            if p[1] not in self._hitting_cache:
-                self._hitting_cache[p[1]] = self._hitting(p)
-            return self._hitting_cache[p[1]]
-        return self._hitting(p)
+        return self._hitting(self.canon(a))
 
     def _hitting(self, p):
-        t = self.on_ray_param(p)
+        """``hitting`` of a canonical point."""
+        if p[0] == "V" and p[1] in self._hitting_cache:
+            return self._hitting_cache[p[1]]
+        t = self._on_ray_param(p)
         if t is not None:
-            return t, p, 0.0
-        dr = self.distance(p, ("V", self.root))
-        big_t = self.ray_length + 1.0 + dr
-        gap = self.distance(p, ("B", big_t))
-        t_a = 0.5 * (dr + big_t - gap)
-        return t_a, self.ray_point(t_a), dr - t_a
+            hit = (t, p, 0.0)
+        else:
+            dr = self._distance(p, ("V", self.root))
+            big_t = self.ray_length + 1.0 + dr
+            gap = self._distance(p, ("B", big_t))
+            t_a = 0.5 * (dr + big_t - gap)
+            hit = (t_a, self.ray_point(t_a), dr - t_a)
+        if p[0] == "V":
+            self._hitting_cache[p[1]] = hit
+        return hit
 
     def busemann(self, a):
         """Closed form B(a) = d(a, m_a) - t_a."""
@@ -235,11 +242,11 @@ class RTree:
         """a >= b iff a lies on [b, sigma(t)] for some t (path additivity)."""
         a = self.canon(a)
         b = self.canon(b)
-        t_a, _, _ = self.hitting(a)
-        t_b, _, _ = self.hitting(b)
-        big_t = max(t_a, t_b) + 1.0
-        lhs = self.distance(b, a) + self.distance(a, ("B", big_t))
-        rhs = self.distance(b, ("B", big_t))
+        t_a, _, _ = self._hitting(a)
+        t_b, _, _ = self._hitting(b)
+        far = ("B", max(t_a, t_b) + 1.0)
+        lhs = self._distance(b, a) + self._distance(a, far)
+        rhs = self._distance(b, far)
         return abs(lhs - rhs) <= tol
 
     def order_busemann(self, a, b, tol=DEFAULT_TOL):
@@ -274,7 +281,7 @@ class RTree:
         """Canonical points and cumulative distances along [a, b]."""
         a = self.canon(a)
         b = self.canon(b)
-        total = self.distance(a, b)
+        total = self._distance(a, b)
         if total <= _POINT_EQ_TOL:
             return [(a, 0.0)]
         exit_a, w_a = min(

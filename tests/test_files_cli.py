@@ -133,6 +133,25 @@ def test_cli_busemann_tree(capsys):
     assert code == 0 and "busemann(leaf) = 1" in out
 
 
+def test_cli_busemann_names_integer_tree_vertices(tmp_path, capsys):
+    """``gen tree`` writes integer vertex ids; ``--point`` names them by their digits."""
+    path = tmp_path / "t.json"
+    assert cli.dispatch(["gen", "tree", "--vertices", "8", "--seed", "4", "--out", str(path)]) == 0
+    tree = files.load_tree(path)
+    assert 3 in tree.vertices and tree.edge_length(1, 3) > 0.3
+    capsys.readouterr()
+    busemann = ["busemann", "--space", "tree", "--tree", str(path), "--format", "machine"]
+    for text, point in (("3", 3), ("edge:1:3:0.3", ("edge", 1, 3, 0.3))):
+        code = cli.dispatch(busemann + ["--point", text])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["outcome"]["point"] == text
+        assert doc["outcome"]["busemann"] == float(f"{ml.rtree_busemann(tree, point):.9g}")
+    assert cli.dispatch(busemann + ["--point", "99"]) == 2
+    assert "unknown vertex '99'" in capsys.readouterr().err
+    assert cli.dispatch(busemann + ["--point", "ray:x"]) == 2
+    assert "cannot parse tree point" in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand(capsys):
     assert cli.dispatch(["nosuch"]) == 2
 

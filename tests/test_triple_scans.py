@@ -2,12 +2,14 @@
 ``check_radiality`` on posets of 20 to 70 points, against full-tensor numpy
 references.
 
-The witness enumeration runs in blocks that grow from one row to the
-SCAN_BLOCK budget (13 rows at n = 70), so it crosses block boundaries at
-every size drawn here.
+The triangle filter of ``validate`` and the witness enumeration run in
+blocks that grow from one row to the SCAN_BLOCK budget (13 rows at n = 70),
+so they cross block boundaries at every size drawn here. Fixed cases add
+n = 1, 2 and 3, one-row blocks (n > 256) and ties at the tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import monolip as ml
@@ -129,6 +131,59 @@ def test_validate_matches_full_tensor_reference(seed, n, kind):
     d, g = _instance(np.random.default_rng(seed), kind, n)
     report = ml.validate(_poset(d, g))
     assert [(v.kind, v.indices) for v in report.violations] == reference_violations(d, g)
+
+
+def _triangle_tie(gap):
+    """Three points with d(0, 2) = fl(fl(d(0, 1) + d(1, 2)) + tol) moved by
+    ``gap`` ulps: a tie at the tolerance for gap 0."""
+    a, b = 0.1, 0.2  # a + b rounds: 0.30000000000000004
+    far = (a + b) + 1e-9
+    for _ in range(gap):
+        far = np.nextafter(far, np.inf)
+    return np.array([[0.0, a, far], [a, 0.0, b], [far, b, 0.0]])
+
+
+SMALL_CASES = {
+    "one-point": (np.zeros((1, 1)), np.ones((1, 1), dtype=bool)),
+    "one-point-nonzero-diagonal": (np.full((1, 1), -0.5), np.zeros((1, 1), dtype=bool)),
+    "two-points-asymmetric": (np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2, dtype=bool)),
+    "two-points-negative": (np.array([[0.0, -1.0], [-1.0, 0.0]]), np.ones((2, 2), dtype=bool)),
+    "three-points-violation": (
+        np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]),
+        np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool),
+    ),
+    "three-points-tie": (_triangle_tie(0), np.eye(3, dtype=bool)),
+    "three-points-ulp-above-tie": (_triangle_tie(1), np.eye(3, dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CASES))
+def test_validate_small_cases_match_full_tensor_reference(case):
+    d, g = SMALL_CASES[case]
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
+    assert found == reference_violations(d, g)
+    triangles = [idx for kind, idx in found if kind == "triangle inequality"]
+    if case == "three-points-tie":
+        assert triangles == []
+    if case == "three-points-ulp-above-tie":
+        assert triangles == [(0, 2, 1), (2, 0, 1)]
+
+
+def test_validate_one_row_blocks_match_full_tensor_reference():
+    """n > 256: each block of the triangle filter is one row."""
+    n = 257
+    assert n * n > poset_mod.SCAN_BLOCK
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.uniform(-5.0, 5.0, size=(n, 2)), 1)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    g = (pts[:, None, :] >= pts[None, :, :]).all(axis=2)
+    # a few entries scaled off the metric: violations in some rows only
+    i, j = rng.choice(n, size=(2, 6), replace=False)
+    d[i, j] = d[j, i] = d[i, j] * np.array([0.8, 1.5, 2.0, 3.0, 4.0, 5.0])
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
+    rows = {idx[0] for kind, idx in found if kind == "triangle inequality"}
+    assert 0 < len(rows) < n
+    assert found == reference_violations(d, g)
 
 
 @SCANS
