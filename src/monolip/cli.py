@@ -9,7 +9,7 @@ negative), 2 usage or input error, 3 numeric non-convergence.
 rounded to 9 significant digits; identical inputs and seed reproduce
 byte-identical machine output (timing is reported only in human format).
 Size caps are configurable via the MONOLIP_TRIPLE_CAP and MONOLIP_SIZE_CAP
-environment variables.
+environment variables (positive integers; any other value exits 2).
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-TRIPLE_CAP = int(os.environ.get("MONOLIP_TRIPLE_CAP", poset_mod.DEFAULT_TRIPLE_CAP))
-SIZE_CAP = int(os.environ.get("MONOLIP_SIZE_CAP", 4096))
+#: Size caps: environment variable, the ``args`` attribute it sets, default.
+CAPS = (
+    ("MONOLIP_TRIPLE_CAP", "triple_cap", poset_mod.DEFAULT_TRIPLE_CAP),
+    ("MONOLIP_SIZE_CAP", "size_cap", 4096),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,7 @@ def _cmd_validate(args, report):
 def _cmd_radial(args, report):
     report.add_input(args.poset)
     poset = files.load_poset(args.poset)
-    w = poset_mod.check_radiality(poset, tol=args.tol, triple_cap=TRIPLE_CAP)
+    w = poset_mod.check_radiality(poset, tol=args.tol, triple_cap=args.triple_cap)
     if w is None:
         report.outcome = {"radial": True}
         report.say("radial: no violating triple")
@@ -330,7 +333,7 @@ def _cmd_certify(args, report):
     poset = files.load_poset(args.poset)
     target = _target_from_args(args, report)
     bound, cert = obstruction.e2_lower_bound(
-        poset, target, tol=args.tol, triple_cap=TRIPLE_CAP
+        poset, target, tol=args.tol, triple_cap=args.triple_cap
     )
     if cert is None:
         report.outcome = {"radial": True, "bound": 1.0}
@@ -407,7 +410,7 @@ def _cmd_gen(args, report):
     if args.kind == "grid":
         cone = cones.orthant(args.dim, norm=args.norm)
         poset = poset_mod.grid_instance(
-            args.dim, args.side, args.spacing, cone, size_cap=SIZE_CAP
+            args.dim, args.side, args.spacing, cone, size_cap=args.size_cap
         )
         doc = files.poset_to_dict(poset)
         files.dump(doc, args.out)
@@ -528,6 +531,16 @@ def dispatch(argv=None):
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    for var, attr, default in CAPS:
+        text = os.environ.get(var)
+        try:
+            cap = default if text is None else int(text)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            print(f"error: {var} must be a positive integer", file=sys.stderr)
+            return EXIT_USAGE
+        setattr(args, attr, cap)
     report = Report(args.subcommand, seed=getattr(args, "seed", None))
     try:
         code = args.func(args, report)

@@ -33,6 +33,10 @@ def norm_many(V, tag):
     if tag == "l1":
         return np.sum(np.abs(V), axis=-1)
     if tag == "l2":
+        if V.shape[-1] == 1:
+            # a one-term dot product is the rounded square itself, so this
+            # is vecdot's result without its per-row calls
+            return np.sqrt(np.square(V[..., 0]))
         # vecdot takes the same dot product as np.linalg.norm of a single
         # vector, so batched and one-row norms agree bit for bit.
         return np.sqrt(np.vecdot(V, V))
@@ -51,7 +55,9 @@ class ConeOrder:
     """A pointed convex cone plus the norm tag of its ambient space.
 
     At least one of ``generators`` / ``halfspaces`` must be given. An empty
-    generator list describes the trivial cone {0} (the trivial order).
+    generator list describes the trivial cone {0} (the trivial order). The
+    cone keeps read-only copies of both arrays, so writes to the caller's
+    arrays do not reach it, and its derived kind stays true.
     """
 
     dim: int
@@ -70,7 +76,8 @@ class ConeOrder:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            arr = np.atleast_2d(np.asarray(arr, dtype=float))
+            # a copy: the cone must not follow later writes to the caller's array
+            arr = np.array(arr, dtype=float, ndmin=2)
             if arr.size == 0:
                 arr = arr.reshape(0, self.dim)
             if arr.shape[1] != self.dim:
@@ -81,16 +88,22 @@ class ConeOrder:
                 np.linalg.norm(arr, axis=1) == 0.0
             ):
                 raise StructureError("zero halfspace normal")
+            if name == "generators":
+                arr = arr[np.linalg.norm(arr, axis=1) > 0.0]
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.generators is not None:
-            g = self.generators
-            keep = np.linalg.norm(g, axis=1) > 0.0
-            object.__setattr__(self, "generators", g[keep])
 
     @functools.cached_property
     def _kind(self):
         # Worked out on first use: for a halfspace-only cone it runs NNLS.
         return _kernel_kind(self)
+
+    @functools.cached_property
+    def _line_signs(self):
+        # [1 in C, -1 in C] for a cone in R^1, as the scalar route asks
+        signs = contains_many(self, [[1.0], [-1.0]])
+        signs.setflags(write=False)
+        return signs
 
     @property
     def is_trivial(self):
@@ -140,20 +153,34 @@ def _is_scaled_basis(rows):
     )
 
 
+# The named cones below return one shared, read-only instance per
+# (dim, norm), so their kind and other derived constants are worked out once.
+
+
 def orthant(dim, norm="l2"):
     """The nonnegative orthant in R^dim (coordinatewise order)."""
+    return _orthant(dim, norm)
+
+
+@functools.cache
+def _orthant(dim, norm):
     eye = np.eye(dim)
     return ConeOrder(dim=dim, generators=eye, halfspaces=eye, norm=norm)
 
 
 def trivial_cone(dim, norm="l2"):
     """The cone {0}, inducing the trivial order."""
+    return _trivial_cone(dim, norm)
+
+
+@functools.cache
+def _trivial_cone(dim, norm):
     return ConeOrder(dim=dim, generators=np.zeros((0, dim)), norm=norm)
 
 
 def scalar_cone(norm="l2"):
     """The nonnegative ray in R^1: the usual order on the reals."""
-    return orthant(1, norm=norm)
+    return _orthant(1, norm)
 
 
 def _nnls_fit(generators, v):
@@ -203,11 +230,21 @@ def contains_many(cone, V, tol=DEFAULT_TOL):
     A cone with a halfspace form N tests the worst violation,
     min(N v) >= -tol (1 + |v|). Otherwise v is a member iff its distance
     to its projection is at most tol (1 + |v|).
+
+    The halfspace test reduces along the long axis: N V^T holds one row of
+    k values per normal, and the few rows are ANDed elementwise, rather
+    than each of the k rows of V N^T being reduced over its few entries.
     """
     V = _rows(cone, V)
-    slack = tol * (1.0 + norm_many(V, "l2"))
+    return _contains_rows(cone, V, norm_many(V, "l2"), tol)
+
+
+def _contains_rows(cone, V, lengths, tol):
+    """``contains_many`` on checked rows whose L2 norms ``lengths`` the
+    caller already holds."""
+    slack = tol * (1.0 + lengths)
     if cone.halfspaces is not None:
-        return np.all(V @ cone.halfspaces.T >= -slack[:, None], axis=1)
+        return (cone.halfspaces @ V.T >= -slack).all(axis=0)
     return norm_many(V - project_many(cone, V), "l2") <= slack
 
 

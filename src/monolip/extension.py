@@ -85,7 +85,7 @@ class ExtensionProblem:
         gap = cones.norm_many(diff, self.target.norm)
         off = ~np.eye(len(self.subset), dtype=bool)
         too_far = off & (gap > d + tol * (1.0 + d))
-        geq = off & self.domain.order_matrix[sub]
+        geq = self.domain.strict_matrix[sub]
         unordered = np.zeros_like(geq)
         unordered[geq] = ~cones.contains_many(self.target, diff[geq], tol)
         bad = np.argwhere(too_far | unordered)
@@ -133,10 +133,10 @@ def verify_extension(problem, values, K, tol=DEFAULT_TOL):
     if values.shape != (n, problem.target.dim):
         raise StructureError(f"values must have shape ({n}, {problem.target.dim})")
     norm = problem.target.norm
-    i, j = np.triu_indices(n, 1)
+    i, j = problem.domain.upper_pairs
     gaps = cones.norm_many(values[i] - values[j], norm)
     lip = np.max(gaps - K * problem.domain.dist[i, j], initial=0.0)
-    i, j = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
+    i, j = problem.domain.strict_pairs
     diff = values[i] - values[j]
     miss = cones.norm_many(diff - cones.project_many(problem.target, diff), "l2")
     order = np.max(miss, initial=0.0)
@@ -208,20 +208,23 @@ def _dijkstra(W, sources):
 
     One Dijkstra (1959) per source, all run side by side: each of the n
     steps settles, in every row, the open node nearest its source and
-    relaxes that node's row of W. The work arrays are updated in place.
+    relaxes that node's row of W. The work arrays are updated in place,
+    through flat indices (row r, node u) -> r n + u.
     """
     sources = np.asarray(sources)
     k, n = len(sources), W.shape[0]
-    rows = np.arange(k)
+    base = n * np.arange(k)  # flat index of each row's first entry
     D = np.full((k, n), np.inf)
-    D[rows, sources] = 0.0
     done = np.zeros((k, n))  # +inf once a node is settled
     key = np.empty((k, n))
+    D_flat, done_flat = D.reshape(-1), done.reshape(-1)
+    D_flat[base + sources] = 0.0
     for _ in range(n):
         u = np.add(D, done, out=key).argmin(axis=1)
-        done[rows, u] = np.inf
+        at = base + u
+        done_flat[at] = np.inf
         step = W.take(u, axis=0)
-        step += D[rows, u][:, None]
+        step += D_flat[at][:, None]
         np.minimum(D, step, out=D)
     return D
 
@@ -242,7 +245,7 @@ class _ScalarPaths:
     def __init__(self, problem):
         g = problem.domain.order_matrix
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
-        up, down = cones.contains_many(problem.target, [[1.0], [-1.0]])
+        up, down = problem.target._line_signs
         free = (g & ~down) | (g.T & ~up)
         self.D = _dijkstra(np.where(free, 0.0, problem.domain.dist), problem.subset)
         self.f = problem.f[:, 0]
@@ -317,7 +320,7 @@ def _lp_rows(problem):
     target = problem.target
     l1 = target.norm == "l1" and m > 1
     F = np.arange(n * m).reshape(n, m)  # F[i, c] is the variable of F_ic
-    i, j = np.triu_indices(n, 1)
+    i, j = problem.domain.upper_pairs
     d = problem.domain.dist[i, j]
     p = np.arange(len(i))
     per_pair = 2 * m + l1
@@ -339,7 +342,7 @@ def _lp_rows(problem):
     anchors = F[list(problem.subset)].ravel()
     eq = [(np.arange(anchors.size), anchors, 1.0)]
     b_eq = problem.f.ravel()
-    oi, oj = np.nonzero(problem.domain.order_matrix & ~np.eye(n, dtype=bool))
+    oi, oj = problem.domain.strict_pairs
     if target.is_trivial:
         normals = np.kron(np.eye(m), [[-1.0], [1.0]])  # +-e_c force F_i = F_j
     elif target.halfspaces is not None:
@@ -459,7 +462,7 @@ def _l2_rounds(problem, max_rounds):
     a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
     n, m = problem.domain.n, problem.target.dim
     F = np.arange(n * m).reshape(n, m)
-    i, j = np.triu_indices(n, 1)
+    i, j = problem.domain.upper_pairs
     d = problem.domain.dist[i, j]
     apart = d > 0.0
     k_hi, best = np.inf, None
@@ -650,7 +653,7 @@ def componentwise_extend(problem):
                 f"coordinate {c} failed to extend at K = 1 on a radial domain"
             )
         values[:, c] = res.values[:, 0]
-    i, j = np.triu_indices(problem.domain.n, 1)
+    i, j = problem.domain.upper_pairs
     d = problem.domain.dist[i, j]
     apart = d > 0
     gaps = cones.norm_many(values[i[apart]] - values[j[apart]], problem.target.norm)

@@ -36,7 +36,9 @@ class FiniteMetricPoset:
     The order is stored once, as the read-only boolean ``order_matrix``
     (G[i, j] iff point i >= point j; ``validate`` checks the reflexive
     pairs). The constructor takes ``order`` as that (n, n) boolean array or
-    as index pairs (i, j); the pair set ``order`` is derived on first read.
+    as index pairs (i, j). The pair set ``order`` and the read-only index
+    arrays below are derived on first read and kept, so the scans and
+    checks that run on one poset share them.
     """
 
     labels: tuple
@@ -81,6 +83,23 @@ class FiniteMetricPoset:
         """The order as a frozenset of index pairs (i, j) with i >= j."""
         return frozenset(map(tuple, np.argwhere(self.order_matrix).tolist()))
 
+    @functools.cached_property
+    def upper_pairs(self):
+        """Index arrays (i, j) of the pairs i < j, row-major."""
+        return _frozen(*np.triu_indices(self.n, 1))
+
+    @functools.cached_property
+    def strict_matrix(self):
+        """G[i, j] and i != j: point i strictly above point j."""
+        strict = self.order_matrix & ~np.eye(self.n, dtype=bool)
+        strict.setflags(write=False)
+        return strict
+
+    @functools.cached_property
+    def strict_pairs(self):
+        """Index arrays (i, j) of the strict pairs i > j, row-major."""
+        return _frozen(*np.nonzero(self.strict_matrix))
+
     @property
     def n(self):
         return len(self.labels)
@@ -91,6 +110,12 @@ class FiniteMetricPoset:
     def bullet(self, i, j):
         """i >=* j: strict dominance or incomparability (not j >= i)."""
         return not self.geq(j, i)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def bullet(poset, x, y):
@@ -130,7 +155,7 @@ def validate(poset, tol=DEFAULT_TOL):
     out = []
     for i in np.flatnonzero(np.abs(np.diag(d)) > tol).tolist():
         out.append(Violation("zero-diagonal", (i,), f"d({i},{i}) = {d[i, i]}"))
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = poset.upper_pairs
     upper, lower = d[iu, ju], d[ju, iu]
     asym = np.abs(upper - lower) > tol
     ident = upper <= tol
@@ -150,27 +175,31 @@ def validate(poset, tol=DEFAULT_TOL):
         if neg[p]:
             out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
     # The row filter of the docstring, by blocks of at most SCAN_BLOCK
-    # triples (one row at least). In a flagged row argwhere walks (j, k) in
-    # row-major order, so violations come in (i, j, k) order.
+    # triples (one row at least), then the flagged rows in order. In a
+    # flagged row argwhere walks (j, k) in row-major order, so violations
+    # come in (i, j, k) order.
     step = max(1, SCAN_BLOCK // max(n * n, 1))
+    flagged = np.empty(n, dtype=bool)
     for s in range(0, n, step):
         short = np.min(d[s : s + step, :, None] + d[None], axis=1)
-        flagged = (d[s : s + step] > short + tol).any(axis=1)
-        for i in (s + np.flatnonzero(flagged)).tolist():
-            bad = d[i][:, None] > d[i][None, :] + d.T + tol
-            for j, k in np.argwhere(bad).tolist():
-                out.append(
-                    Violation(
-                        "triangle inequality",
-                        (i, j, k),
-                        f"d({i},{j}) > d({i},{k}) + d({k},{j})",
-                    )
+        np.any(d[s : s + step] > short + tol, axis=1, out=flagged[s : s + step])
+    for i in np.flatnonzero(flagged).tolist():
+        bad = d[i][:, None] > d[i][None, :] + d.T + tol
+        for j, k in np.argwhere(bad).tolist():
+            out.append(
+                Violation(
+                    "triangle inequality",
+                    (i, j, k),
+                    f"d({i},{j}) > d({i},{k}) + d({k},{j})",
                 )
+            )
     g = poset.order_matrix
     for i in np.flatnonzero(~np.diag(g)).tolist():
         out.append(Violation("reflexivity", (i,), f"({i},{i}) missing"))
-    for i, j in np.argwhere(np.triu(g & g.T, 1)).tolist():
-        out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
+    strict = poset.strict_matrix
+    for i, j in np.argwhere(strict & strict.T).tolist():
+        if i < j:
+            out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
     # a float product runs in BLAS and is exact for these 0/1 sums
     gf = g.astype(float)
     closure = (gf @ gf) > 0
@@ -195,11 +224,6 @@ class RadialityWitness:
     @property
     def ratio(self):
         return self.rhs / self.lhs
-
-
-def _strict_matrix(poset):
-    g = poset.order_matrix
-    return g & ~np.eye(poset.n, dtype=bool)
 
 
 def _check_cap(n, triple_cap):
@@ -233,7 +257,7 @@ def _witness_blocks(poset, tol, triple_cap):
     _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
-    strict = _strict_matrix(poset)
+    strict = poset.strict_matrix
     n = poset.n
     most = max(1, SCAN_BLOCK // max(n * n, 1))
     for kind in ("RD1", "RD2"):
@@ -292,7 +316,7 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
-    strict = _strict_matrix(poset)
+    strict = poset.strict_matrix
     with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
         ratios = np.stack(
             [
@@ -324,7 +348,7 @@ def is_radially_convex(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     """d(x, z) >= max(d(x, y), d(y, z)) whenever x > y > z."""
     _check_cap(poset.n, triple_cap)
     d = poset.dist
-    strict = _strict_matrix(poset)
+    strict = poset.strict_matrix
     for x in range(poset.n):
         # bad[y, z]: x > y > z with d(x, z) < max(d(x, y), d(y, z))
         bad = strict[x][:, None] & strict & (d[x][None, :] < np.maximum(d[x][:, None], d) - tol)
@@ -357,10 +381,17 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
     if points.shape[1] != cone.dim:
         raise StructureError("point dimension must match the cone")
     if labels is None:
-        labels = tuple(",".join(format(c, "g") for c in p) for p in points)
-    diff = points[:, None, :] - points[None, :, :]
+        # "%g" % c is format(c, "g"); one format per point, on Python floats
+        form = ",".join(["%g"] * cone.dim)
+        labels = tuple(form % tuple(p) for p in points.tolist())
+    # diff[i, j] = points[i] - points[j], one coordinate column at a time
+    diff = np.empty((n, n, cone.dim))
+    for c, col in enumerate(points.T):
+        np.subtract(col[:, None], col[None, :], out=diff[:, :, c])
     dist = cones.norm_many(diff, cone.norm)
-    geq = cones.contains_many(cone, diff.reshape(n * n, -1), tol).reshape(n, n)
+    rows = diff.reshape(n * n, -1)
+    lengths = dist.reshape(-1) if cone.norm == "l2" else cones.norm_many(rows, "l2")
+    geq = cones._contains_rows(cone, rows, lengths, tol).reshape(n, n)
     return FiniteMetricPoset(labels=labels, dist=dist, order=geq | np.eye(n, dtype=bool))
 
 

@@ -50,6 +50,87 @@ def test_halfspace_membership_matches_generated(rng):
         assert ml.dual_contains(gen, v) == ml.dual_contains(half, v)
 
 
+def _membership_cases(rng):
+    """(cone, rows, tol) on halfspace, generated and orthant cones in m = 1-4.
+
+    With tol = 1/2 some rows lie exactly on the slack boundary: -e_c for
+    the orthant (N v = -1, slack 1/2 (1 + 1) = 1), and -e_c / 2 for the
+    cone with normals 1.5 e_c (N v = -0.75, slack 1/2 (1 + 1/2) = 0.75).
+    """
+    for m in range(1, 5):
+        yield cones.orthant(m), rng.normal(size=(200, m)), 1e-9
+        halfspaces = ml.ConeOrder(dim=m, halfspaces=rng.normal(size=(m + 1, m)))
+        yield halfspaces, rng.normal(size=(200, m)), 1e-9
+        yield cones.orthant(m), np.vstack([rng.normal(size=(50, m)), -np.eye(m)]), 0.5
+        scaled = ml.ConeOrder(dim=m, halfspaces=1.5 * np.eye(m))
+        yield scaled, np.vstack([rng.normal(size=(50, m)), -0.5 * np.eye(m)]), 0.5
+    for m in (2, 3):
+        gens = random_pointed_cone(rng, dim=m, n_gen=m + 1).generators
+        generated = ml.ConeOrder(dim=m, generators=gens, halfspaces=facet_normals(gens))
+        yield generated, rng.normal(size=(200, m)), 1e-9
+
+
+def test_contains_many_matches_the_row_wise_reference(rng):
+    boundary = 0
+    for cone, V, tol in _membership_cases(rng):
+        slack = tol * (1.0 + np.sqrt(np.vecdot(V, V)))
+        want = np.all(V @ cone.halfspaces.T >= -slack[:, None], axis=1)
+        assert np.array_equal(cones.contains_many(cone, V, tol), want)
+        on_edge = np.any(V @ cone.halfspaces.T == -slack[:, None], axis=1)
+        assert want[on_edge].all()
+        boundary += int(on_edge.sum())
+    assert boundary == 2 * sum(range(1, 5))
+    # a cone given only by generators tests the distance to its projection
+    for m in range(1, 5):
+        cone = random_pointed_cone(rng, dim=m, n_gen=m + 1) if m > 1 else ml.ConeOrder(
+            dim=1, generators=[[2.0]]
+        )
+        V = rng.normal(size=(100, m))
+        slack = 1e-9 * (1.0 + np.sqrt(np.vecdot(V, V)))
+        gap = V - cones.project_many(cone, V)
+        want = np.sqrt(np.vecdot(gap, gap)) <= slack
+        assert np.array_equal(cones.contains_many(cone, V), want)
+
+
+def test_one_column_l2_norms_match_vecdot_bit_for_bit(rng):
+    # squares that underflow included; both forms warn alike on overflow
+    x = rng.normal(size=2000) * 10.0 ** rng.integers(-200, 150, size=2000)
+    x = np.concatenate([x, [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -3.0, 7.5]])
+    for V in (x[:, None], x[:1000].reshape(10, 100, 1)):
+        got = cones.norm_many(V, "l2")
+        want = np.sqrt(np.vecdot(V, V))
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not np.signbit(got).any()
+
+
+def test_cone_keeps_its_own_copy_of_the_arrays():
+    eye = np.eye(2)
+    cone = ml.ConeOrder(dim=2, generators=eye, halfspaces=eye)
+    assert ml.contains(cone, [1.0, 1.0])
+    eye[:] = -np.eye(2)
+    assert ml.contains(cone, [1.0, 1.0])
+    assert not ml.contains(cone, [-1.0, 0.0])
+    np.testing.assert_array_equal(ml.project_cone(cone, [1.0, -2.0]), [1.0, 0.0])
+    np.testing.assert_array_equal(cone.halfspaces, np.eye(2))
+
+
+def test_cone_arrays_are_read_only():
+    cone = ml.orthant(2)
+    with pytest.raises(ValueError):
+        cone.halfspaces[0, 0] = -1.0
+    with pytest.raises(ValueError):
+        cone.generators[:] = 0.0
+    assert ml.contains(cone, [1.0, 1.0])
+
+
+def test_named_cones_are_shared():
+    assert ml.orthant(2) is ml.orthant(2)
+    assert ml.orthant(2) is ml.orthant(2, norm="l2")
+    assert ml.orthant(2) is not ml.orthant(2, norm="l1")
+    assert ml.scalar_cone() is ml.scalar_cone() is ml.orthant(1)
+    assert ml.trivial_cone(3) is ml.trivial_cone(3)
+
+
 # ---------------------------------------------------------------------------
 # projection and Moreau decomposition
 # ---------------------------------------------------------------------------

@@ -352,6 +352,32 @@ def test_dijkstra_matches_floyd_warshall(seed):
         np.testing.assert_allclose(extension._ScalarPaths(p).D, want, rtol=1e-12, atol=0.0)
 
 
+def _bellman_ford(W, sources):
+    """Min-plus Bellman-Ford from the sources, iterated to its fixed point."""
+    D = np.full((len(sources), len(W)), np.inf)
+    D[np.arange(len(sources)), sources] = 0.0
+    while True:
+        nxt = np.minimum(D, np.min(D[:, :, None] + W[None], axis=1))
+        if np.array_equal(nxt, D):
+            return D
+        D = nxt
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dijkstra_is_the_bellman_ford_fixed_point_bit_for_bit(seed):
+    # Float addition of a nonnegative cost never lowers a sum, so both
+    # compute the least left-to-right path sum, to the last bit.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    # Rounded costs give ties; a share of them are zero-cost edges.
+    W = np.round(rng.exponential(size=(n, n)), int(rng.integers(0, 4)))
+    W[rng.random((n, n)) < rng.uniform(0.0, 0.6)] = 0.0
+    sources = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    D = extension._dijkstra(W, sources)
+    assert np.array_equal(D, _bellman_ford(W, sources))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_scalar_route_matches_lp_oracle(seed):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,3 +205,55 @@ def test_cli_estimate_e_with_samples(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "lower bound" in out
+
+
+# ---------------------------------------------------------------------------
+# size caps from the environment
+# ---------------------------------------------------------------------------
+
+
+def _cli_process(argv, **env):
+    """(exit code, stderr) of the CLI run in a fresh interpreter."""
+    full = dict(os.environ, **env)
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(HERE, os.pardir, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "monolip.cli", *argv],
+        env=full, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_malformed_triple_cap_is_a_usage_error():
+    code, err = _cli_process(["validate", WITNESS], MONOLIP_TRIPLE_CAP="abc")
+    assert code == 2
+    assert err.strip() == "error: MONOLIP_TRIPLE_CAP must be a positive integer"
+
+
+def test_negative_size_cap_is_a_usage_error(tmp_path):
+    out = str(tmp_path / "grid.json")
+    code, err = _cli_process(["gen", "grid", "--dim", "2", "--out", out], MONOLIP_SIZE_CAP="-5")
+    assert code == 2
+    assert err.strip() == "error: MONOLIP_SIZE_CAP must be a positive integer"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("var", ["MONOLIP_TRIPLE_CAP", "MONOLIP_SIZE_CAP"])
+@pytest.mark.parametrize("value", ["x", "0", "-5", "1.5", ""])
+def test_cap_variables_must_be_positive_integers(var, value, monkeypatch, capsys):
+    monkeypatch.setenv(var, value)
+    assert cli.dispatch(["radial", WITNESS]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {var} must be a positive integer"
+
+
+def test_cap_variables_set_the_caps(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MONOLIP_TRIPLE_CAP", "26")  # the witness poset has 27 triples
+    assert cli.dispatch(["radial", WITNESS]) == 2
+    assert "exceed the cap of 26" in capsys.readouterr().err
+    monkeypatch.setenv("MONOLIP_TRIPLE_CAP", "27")
+    monkeypatch.setenv("MONOLIP_SIZE_CAP", "7")
+    assert cli.dispatch(["radial", WITNESS]) == 1
+    out = str(tmp_path / "grid.json")
+    assert cli.dispatch(["gen", "grid", "--dim", "2", "--side", "2", "--out", out]) == 2
+    assert "exceeds cap 7" in capsys.readouterr().err

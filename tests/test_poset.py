@@ -195,6 +195,19 @@ def test_grid_2x2_coordinatewise_order_pairs():
     assert got == expected
 
 
+def test_point_labels_match_per_coordinate_format():
+    rows = [
+        [-0.0, 1e-5, 3.0],
+        [1e16, 5e-324, -2.0],
+        [2.2250738585072014e-308 / 3.0, 1.0 / 3.0, 123456789.0],
+        [-1e-300, 7.0, 1e21],
+    ]
+    for m in (1, 2, 3):
+        pts = np.array([r[:m] for r in rows])
+        p = ml.poset_from_points(pts, ml.orthant(m))
+        assert p.labels == tuple(",".join(format(c, "g") for c in row) for row in pts)
+
+
 def test_grid_trivial_cone_gives_trivial_order():
     p = ml.grid_instance(2, 2, 1.0, ml.trivial_cone(2))
     assert {(i, j) for i, j in p.order} == {(i, i) for i in range(4)}
