@@ -56,6 +56,6 @@ from .spaces import (
     hn_order,
     ray_order,
 )
-from .trees import RTree, random_tree, rtree_busemann, rtree_hitting, rtree_order, tripod
+from .trees import RTree, random_tree, tripod
 
 __version__ = "0.1.0"

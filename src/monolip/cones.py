@@ -50,7 +50,7 @@ def norm_value(v, tag):
     return float(norm_many(v, tag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeOrder:
     """A pointed convex cone plus the norm tag of its ambient space.
 
@@ -308,7 +308,7 @@ def project_cone(cone, a):
     return project_many(cone, _one_row(cone, a))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoreauSplit:
     """Orthogonal decomposition a = part_cone + part_polar."""
 

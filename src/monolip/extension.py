@@ -40,7 +40,7 @@ INFEASIBLE = "Infeasible"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionProblem:
     """(X, S, f, target): extend f from the subset S of the poset X.
 
@@ -117,7 +117,7 @@ class ResidualReport:
         return max(self.lipschitz, self.order, self.anchor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionResult:
     values: np.ndarray
     K: float
@@ -125,7 +125,7 @@ class ExtensionResult:
     residuals: ResidualReport
 
 
-def verify_extension(problem, values, K, tol=DEFAULT_TOL):
+def verify_extension(problem, values, K):
     """Residuals of candidate values: Lipschitz excess over K*d, Euclidean
     distance of ordered-pair differences to the cone, anchor deviation."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -492,7 +492,7 @@ def _l2_rounds(problem, max_rounds):
         lip = np.concatenate([lip, d[pairs]])
 
 
-def feasibility_at_K(problem, K, tol=DEFAULT_TOL, max_iter=MAX_ROUNDS):
+def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
     """Decide whether an order-preserving K-Lipschitz extension exists.
 
     Scalar targets are decided exactly by shortest paths (the values are
@@ -501,11 +501,12 @@ def feasibility_at_K(problem, K, tol=DEFAULT_TOL, max_iter=MAX_ROUNDS):
     plane rounds: Infeasible once the LP bound K_lo exceeds K by more than
     the LP tolerance, Feasible once an attained K_hi <= K, else Unknown
     with the best values found. Every Feasible checks its own values: a
-    ``verify_extension`` residual above tol (1 + K max d) makes it Unknown.
+    ``verify_extension`` residual above DEFAULT_TOL (1 + K max d) makes it
+    Unknown.
     """
     if not 0.0 < K < np.inf:
         raise StructureError("K must be positive and finite")
-    bound = tol * (1.0 + K * float(np.max(problem.domain.dist)))
+    bound = DEFAULT_TOL * (1.0 + K * float(np.max(problem.domain.dist)))
     if len(problem.subset) == problem.domain.n:
         values = np.zeros((problem.domain.n, problem.target.dim))
         values[list(problem.subset)] = problem.f

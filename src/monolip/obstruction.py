@@ -24,7 +24,7 @@ CROSS_CHECK_TOL = 1e-4
 MIN_BOUND_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestMap:
     """Two-point admissible map: the top anchor rides the ray at parameter
     equal to the anchor distance, the bottom anchor sits at the basepoint."""
@@ -36,7 +36,7 @@ class TestMap:
     separation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionCertificate:
     witness: poset_mod.RadialityWitness
     target: str
@@ -82,7 +82,7 @@ def build_test_map(poset, witness, target):
     )
 
 
-def certify_obstruction(poset, witness, target, cross_check=True):
+def certify_obstruction(poset, witness, target):
     """Certificate with the bound K >= rhs/lhs.
 
     The bound is the Busemann-composition argument: with phi = -B o F for
@@ -90,7 +90,8 @@ def certify_obstruction(poset, witness, target, cross_check=True):
     anchor) equals the separation rhs, phi at the dominated point is
     nonpositive, and K-Lipschitzness of phi across the short distance lhs
     forces K * lhs >= rhs. A reader checks it from the witness's lhs and
-    rhs alone.
+    rhs alone. The bound is also checked against the exact modulus of the
+    induced three-point scalar problem.
     """
     test_map = build_test_map(poset, witness, target)
     bound = witness.rhs / witness.lhs
@@ -98,13 +99,12 @@ def certify_obstruction(poset, witness, target, cross_check=True):
         raise StructureError(
             f"witness ratio {bound} is not bounded away from 1; not certifiable"
         )
-    if cross_check:
-        modulus = _scalar_modulus(poset, witness)
-        if abs(modulus - bound) > CROSS_CHECK_TOL:
-            raise StructureError(
-                f"scalar-modulus cross-check disagrees with the certified bound: "
-                f"{modulus} vs {bound}"
-            )
+    modulus = _scalar_modulus(poset, witness)
+    if abs(modulus - bound) > CROSS_CHECK_TOL:
+        raise StructureError(
+            f"scalar-modulus cross-check disagrees with the certified bound: "
+            f"{modulus} vs {bound}"
+        )
     return ObstructionCertificate(
         witness=witness,
         target=type(target).__name__,

@@ -29,7 +29,7 @@ DEFAULT_TRIPLE_CAP = 10**6
 SCAN_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteMetricPoset:
     """Points with a distance matrix and a partial order.
 
@@ -60,13 +60,14 @@ class FiniteMetricPoset:
                 raise StructureError("order matrix must be n x n")
             g = order.copy()
         else:
+            order = list(order)  # read a one-shot iterator once
             for pair in order:
+                if len(pair) != 2:
+                    raise StructureError(f"order entries must be (i, j) pairs, got {pair!r}")
                 # booleans, floats and strings are not indices
                 if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in pair):
                     raise StructureError(f"order entries must be integer pairs, got {pair!r}")
             flat = np.fromiter(itertools.chain.from_iterable(order), dtype=np.int64)
-            if flat.size != 2 * len(order):
-                raise StructureError("order entries must be (i, j) pairs")
             rows, cols = flat.reshape(-1, 2).T
             outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
             if outside.any():

@@ -36,7 +36,7 @@ class BusemannValue:
     partials: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertRay:
     """R^dim ordered by a cone, with the geodesic ray t -> t*e.
 

@@ -153,12 +153,8 @@ class RTree:
             prev = v
         return ("V", self.end)
 
-    def on_ray_param(self, p, tol=DEFAULT_TOL):
-        """Ray parameter of a point, or None if it is off the ray."""
-        return self._on_ray_param(self.canon(p))
-
     def _on_ray_param(self, p):
-        """``on_ray_param`` of a canonical point."""
+        """Ray parameter of a canonical point, or None if it is off the ray."""
         if p[0] == "B":
             return p[1]
         if p[0] == "V":
@@ -234,7 +230,7 @@ class RTree:
 
     def ray_param(self, a, tol=DEFAULT_TOL):
         # Uniform interface with the other spaces (generic ray order).
-        return self.on_ray_param(a, tol)
+        return self._on_ray_param(self.canon(a))
 
     # -- the hereditary partial order -------------------------------------------
 
@@ -277,77 +273,47 @@ class RTree:
         right = pv[: pv.index(meet)]
         return left + right[::-1]
 
-    def geodesic_points(self, a, b):
-        """Canonical points and cumulative distances along [a, b]."""
+    def point_on_geodesic(self, a, b, s):
+        """The point at arc length ``s`` from ``a`` along [a, b]."""
         a = self.canon(a)
         b = self.canon(b)
         total = self._distance(a, b)
-        if total <= _POINT_EQ_TOL:
-            return [(a, 0.0)]
-        exit_a, w_a = min(
-            self._anchors(a),
-            key=lambda iw: iw[1] + min(
-                self._dist_row(iw[0])[ib] + wb for ib, wb in self._anchors(b)
-            ),
-        )
-        enter_b, w_b = min(
-            self._anchors(b),
-            key=lambda iw: w_a + self._dist_row(exit_a)[iw[0]] + iw[1],
-        )
-        # Same-edge and tail special cases have no intermediate vertices.
-        if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
-            return [(a, 0.0), (b, total)]
-        if a[0] == "B" and b[0] == "B":
-            return [(a, 0.0), (b, total)]
-        out = [(a, 0.0)]
-        cum = w_a
-        path = self._vertex_path(self.vertices[exit_a], self.vertices[enter_b])
-        for i, v in enumerate(path):
-            if not self.same_point(out[-1][0], ("V", v)):
-                out.append((("V", v), cum))
-            if i + 1 < len(path):
-                cum += self.edge_length(v, path[i + 1])
-        if not self.same_point(out[-1][0], b):
-            out.append((b, total))
-        return out
-
-    def point_on_geodesic(self, a, b, s):
-        """The point at arc length ``s`` from ``a`` along [a, b]."""
-        pts = self.geodesic_points(a, b)
-        total = pts[-1][1]
         s = float(s)
         if s < -_POINT_EQ_TOL or s > total + _POINT_EQ_TOL:
             raise StructureError("arc length outside the geodesic")
         s = min(max(s, 0.0), total)
-        for (p, cp), (q, cq) in zip(pts, pts[1:]):
-            if s <= cq + _POINT_EQ_TOL:
-                return self._interp(p, q, s - cp)
-        return pts[-1][0]
+        if a[0] == "B" and b[0] == "B":
+            return self.ray_point(a[1] + s if b[1] > a[1] else a[1] - s)
+        if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
+            _, u, v, off = a
+            off_b = b[3] if b[1] == u else self.edge_length(u, v) - b[3]
+            return self.canon(("edge", u, v, off + s if off_b > off else off - s))
+        # Otherwise the geodesic leaves a through one anchor and enters b
+        # through another, with the tree path between them.
+        (ia, wa), (ib, _) = min(
+            ((at_a, at_b) for at_a in self._anchors(a) for at_b in self._anchors(b)),
+            key=lambda pair: pair[0][1] + self._dist_row(pair[0][0])[pair[1][0]] + pair[1][1],
+        )
+        if s <= wa:
+            return self._toward(a, ia, s)
+        cum = wa
+        path = self._vertex_path(self.vertices[ia], self.vertices[ib])
+        for u, v in zip(path, path[1:]):
+            nxt = cum + self.edge_length(u, v)
+            if s <= nxt + _POINT_EQ_TOL:
+                return self.canon(("edge", u, v, s - cum))
+            cum = nxt
+        return self._toward(b, ib, total - s)
 
-    def _interp(self, p, q, s):
-        """Point at distance s from p toward q; p and q share an edge, a
-        tail segment, or are a vertex and an incident edge point."""
-        if s <= _POINT_EQ_TOL:
-            return p
-        seg = self.distance(p, q)
-        if s >= seg - _POINT_EQ_TOL:
-            return q
-        if p[0] == "B" or q[0] == "B":
-            tp = self.on_ray_param(p)
-            tq = self.on_ray_param(q)
-            return self.ray_point(tp + (s if tq > tp else -s))
-        if p[0] == "V" and q[0] == "V":
-            return self.canon(("edge", p[1], q[1], s))
+    def _toward(self, p, i, r):
+        """The point at distance r from canonical p toward its anchor vertex
+        number i (r at most the anchor's weight)."""
         if p[0] == "V":
-            u = p[1]
-            v = q[2] if q[1] == u else q[1]
-            return self.canon(("edge", u, v, s))
-        u, v, off = p[1], p[2], p[3]
-        if q[0] == "V":
-            off_q = 0.0 if q[1] == u else self.edge_length(u, v)
-        else:
-            off_q = q[3] if q[1] == u else self.edge_length(u, v) - q[3]
-        return self.canon(("edge", u, v, off + (s if off_q > off else -s)))
+            return p
+        if p[0] == "B":
+            return self.ray_point(p[1] - r)
+        _, u, v, off = p
+        return self.canon(("edge", u, v, off - r if self._index[u] == i else off + r))
 
 
 def tripod(stem=2.0, branch=3.0, ray_tail=5.0):
@@ -377,16 +343,3 @@ def random_tree(n_vertices, rng, min_len=0.5, max_len=2.0):
         tree = RTree(vertices=list(range(n_vertices)), edges=edges, root=0, end=far)
     return tree
 
-
-def rtree_hitting(tree, a):
-    """(t_a, m_a) for the geodesic from a onto the ray."""
-    t_a, m_a, _ = tree.hitting(a)
-    return t_a, m_a
-
-
-def rtree_busemann(tree, a):
-    return tree.busemann(a)
-
-
-def rtree_order(tree, a, b, tol=DEFAULT_TOL):
-    return tree.order(a, b, tol)

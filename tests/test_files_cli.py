@@ -147,7 +147,7 @@ def test_cli_busemann_names_integer_tree_vertices(tmp_path, capsys):
         code = cli.dispatch(busemann + ["--point", text])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["outcome"]["point"] == text
-        assert doc["outcome"]["busemann"] == float(f"{ml.rtree_busemann(tree, point):.9g}")
+        assert doc["outcome"]["busemann"] == float(f"{tree.busemann(point):.9g}")
     assert cli.dispatch(busemann + ["--point", "99"]) == 2
     assert "unknown vertex '99'" in capsys.readouterr().err
     assert cli.dispatch(busemann + ["--point", "ray:x"]) == 2

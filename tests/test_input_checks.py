@@ -1,5 +1,6 @@
 """Construction and file loading refuse non-finite numbers and non-integer
-indices instead of computing with them."""
+indices instead of computing with them. The classes that hold arrays
+compare and hash by identity."""
 
 import json
 import math
@@ -99,6 +100,19 @@ def test_poset_order_pairs_take_numpy_integers():
     assert p.order == {(0, 0), (1, 1), (1, 0)}
 
 
+def test_poset_order_pairs_may_come_from_an_iterator():
+    pairs = iter([(0, 0), (1, 1), (1, 0)])
+    p = ml.FiniteMetricPoset(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], pairs)
+    assert p.order == {(0, 0), (1, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("order", [[(0, 1, 2), (3,)], [(0, 0), (1,), (2, 2, 3)], [(), (0, 0)]])
+def test_poset_order_entries_are_not_re_paired(order):
+    dist = np.ones((4, 4)) - np.eye(4)
+    with pytest.raises(StructureError, match=r"\(i, j\) pairs"):
+        ml.FiniteMetricPoset(("a", "b", "c", "d"), dist, order)
+
+
 def _tripod_doc(branch):
     return {
         "vertices": ["root", "p", "end", "leaf"],
@@ -122,3 +136,31 @@ def test_cli_refuses_non_finite_edge_lengths(tmp_path, capsys, bad):
     code = cli.dispatch(["busemann", "--space", "tree", "--tree", path, "--point", "leaf"])
     assert code == 2
     assert "positive finite length" in capsys.readouterr().err
+
+
+def _ray():
+    return ml.HilbertRay(dim=2, e=np.array([1.0, 0.0]), cone=ml.orthant(2))
+
+
+def _certificate():
+    poset = _witness_poset()
+    return ml.certify_obstruction(poset, ml.check_radiality(poset), _ray())
+
+
+ARRAY_HOLDERS = {
+    "ConeOrder": lambda: ml.ConeOrder(dim=2, generators=np.eye(2)),
+    "FiniteMetricPoset": _witness_poset,
+    "HilbertRay": _ray,
+    "ExtensionProblem": lambda: _scalar_problem([[1.0], [0.0]]),
+    "ExtensionResult": lambda: ml.feasibility_at_K(_scalar_problem([[1.0], [0.0]]), 2.0),
+    "MoreauSplit": lambda: ml.moreau_split(ml.orthant(2), np.array([1.0, -1.0])),
+    "TestMap": lambda: _certificate().test_map,
+    "ObstructionCertificate": _certificate,
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

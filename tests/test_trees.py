@@ -20,19 +20,19 @@ def tri():
 
 
 def test_hitting_on_ray(tri):
-    t, m = ml.rtree_hitting(tri, ("ray", 5.0))
+    t, m, _ = tri.hitting(("ray", 5.0))
     assert t == pytest.approx(5.0, abs=1e-12)
     assert tri.same_point(m, tri.canon(("ray", 5.0)))
 
 
 def test_hitting_root(tri):
-    t, m = ml.rtree_hitting(tri, tri.root)
+    t, m, _ = tri.hitting(tri.root)
     assert t == pytest.approx(0.0, abs=1e-12)
     assert tri.same_point(m, tri.canon(tri.root))
 
 
 def test_hitting_tripod_leaf(tri):
-    t, m = ml.rtree_hitting(tri, "leaf")
+    t, m, _ = tri.hitting("leaf")
     assert t == pytest.approx(2.0, abs=1e-12)
     assert tri.same_point(m, tri.canon("p"))
 
@@ -43,16 +43,16 @@ def test_hitting_tripod_leaf(tri):
 
 
 def test_busemann_tripod_leaf(tri):
-    assert ml.rtree_busemann(tri, "leaf") == pytest.approx(1.0, abs=1e-12)
+    assert tri.busemann("leaf") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_busemann_on_ray(tri):
     for t in (0.0, 1.0, 4.5):
-        assert ml.rtree_busemann(tri, ("ray", t)) == pytest.approx(-t, abs=1e-12)
+        assert tri.busemann(("ray", t)) == pytest.approx(-t, abs=1e-12)
 
 
 def test_busemann_root(tri):
-    assert ml.rtree_busemann(tri, tri.root) == pytest.approx(0.0, abs=1e-12)
+    assert tri.busemann(tri.root) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_busemann_limit_exact_beyond_hitting(tri, rng):
@@ -73,14 +73,14 @@ def test_busemann_limit_exact_beyond_hitting(tri, rng):
 
 def test_order_along_path_toward_ray(tri):
     # p lies on the path from the leaf toward the ray
-    assert ml.rtree_order(tri, "p", "leaf")
-    assert not ml.rtree_order(tri, "leaf", "p")
-    assert ml.rtree_order(tri, ("ray", 4.0), "leaf")
+    assert tri.order("p", "leaf")
+    assert not tri.order("leaf", "p")
+    assert tri.order(("ray", 4.0), "leaf")
 
 
 def test_order_reflexive(tri):
-    assert ml.rtree_order(tri, "leaf", "leaf")
-    assert ml.rtree_order(tri, ("ray", 2.5), ("ray", 2.5))
+    assert tri.order("leaf", "leaf")
+    assert tri.order(("ray", 2.5), ("ray", 2.5))
 
 
 def test_two_leaves_incomparable():
@@ -91,8 +91,8 @@ def test_two_leaves_incomparable():
         root="r",
         end="e",
     )
-    assert not ml.rtree_order(t, "l1", "l2")
-    assert not ml.rtree_order(t, "l2", "l1")
+    assert not t.order("l1", "l2")
+    assert not t.order("l2", "l1")
 
 
 def test_path_and_busemann_orders_agree(rng):
@@ -114,6 +114,39 @@ def test_geodesic_heredity(rng):
                 for s in rng.uniform(0.0, 1.0, size=5) * dab:
                     c = t.point_on_geodesic(t.canon(a), t.canon(b), s)
                     assert t.order_path(a, c) and t.order_path(c, b)
+
+
+def _random_point(t, rng, kind):
+    if kind == "vertex":
+        return t.vertices[int(rng.integers(len(t.vertices)))]
+    if kind == "edge":
+        u, v, length = t.edges[int(rng.integers(len(t.edges)))]
+        return ("edge", u, v, float(rng.uniform(0.0, length)))
+    return ("ray", float(rng.uniform(0.0, t.ray_length + 3.0)))
+
+
+def test_point_on_geodesic_splits_the_distance_for_every_endpoint_kind(rng):
+    kinds = ("vertex", "edge", "ray")
+    comparable = 0
+    for _ in range(40):
+        t = ml.random_tree(int(rng.integers(2, 31)), rng)
+        for kind_a in kinds:
+            for kind_b in kinds:
+                for _ in range(3):
+                    a = t.canon(_random_point(t, rng, kind_a))
+                    b = t.canon(_random_point(t, rng, kind_b))
+                    dab = t.distance(a, b)
+                    tol = 1e-9 * (1.0 + dab)
+                    hereditary = a[0] != "V" or b[0] != "V"
+                    hereditary = hereditary and t.order_path(a, b)
+                    comparable += hereditary
+                    for s in (0.0, dab, *rng.uniform(0.0, dab, size=4)):
+                        c = t.point_on_geodesic(a, b, s)
+                        assert abs(t.distance(a, c) - s) <= tol
+                        assert abs(t.distance(c, b) - (dab - s)) <= tol
+                        if hereditary:
+                            assert t.order_path(a, c) and t.order_path(c, b)
+    assert comparable > 100
 
 
 def test_busemann_one_lipschitz_on_tree(rng):
