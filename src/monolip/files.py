@@ -59,10 +59,6 @@ def poset_from_dict(doc, where="poset"):
         raise SchemaError("dist must be a square matrix", context=where)
     if d.shape[0] != len(labels):
         raise SchemaError("dist size must match labels", context=where)
-    for pair in order:
-        # booleans, floats and strings are not indices
-        if not isinstance(pair, list) or len(pair) != 2 or any(type(v) is not int for v in pair):
-            raise SchemaError(f"order entries must be [i, j] pairs, got {pair!r}", where)
     try:
         poset = poset_mod.FiniteMetricPoset(
             labels=tuple(str(x) for x in labels), dist=d, order=order

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,10 @@ DEFAULT_TOL = 1e-9
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
 
-#: Largest block of the triangle filter in ``validate`` and of the radiality
-#: witness enumeration, in triples. Larger blocks save little time and leave
-#: larger temporaries behind in the heap.
+#: Largest block of the triangle filter in ``validate``, of the radiality
+#: witness enumeration and of the row gathers of ``max_ratio_witness``, in
+#: triples. Larger blocks save little time and leave larger temporaries
+#: behind in the heap.
 SCAN_BLOCK = 1 << 16
 
 
@@ -62,7 +64,8 @@ class FiniteMetricPoset:
         else:
             order = list(order)  # read a one-shot iterator once
             for pair in order:
-                if len(pair) != 2:
+                # a set or a dict has no order of its two entries
+                if not isinstance(pair, (Sequence, np.ndarray)) or len(pair) != 2:
                     raise StructureError(f"order entries must be (i, j) pairs, got {pair!r}")
                 # booleans, floats and strings are not indices
                 if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in pair):
@@ -283,53 +286,90 @@ def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_C
             yield _witness(poset.dist, kind, start + c, y, z)
 
 
-def _best_ratios(values, allowed, lhs, tol):
-    """``ratio[r, c]``: the largest rhs / ``lhs[r, c]`` over the rhs
-    ``values[y, c]`` with ``allowed[r, y]`` and lhs < rhs - tol; -inf if none.
+def _pair_ratios(values, allowed, own, other, lhs, tol):
+    """``ratio[p]``: the largest rhs / ``lhs[p]`` over the rhs
+    ``values[own[p], y]`` with ``allowed[other[p], y]`` and lhs < rhs - tol;
+    -inf if none.
 
-    ``top[r, c]``, the largest allowed rhs, is one masked reduction over the
-    (r, y, c) cube, which numpy walks without building it. For lhs >= 0 the
+    ``top[p]``, the largest allowed rhs, is a masked max over one gathered
+    row, taken by blocks of at most SCAN_BLOCK entries. For lhs >= 0 the
     best ratio is ``top / lhs``, since fl(a / b) is monotone in a, taken
     where lhs < top - tol, which holds iff some rhs qualifies, because
     fl(a - tol) is monotone too.
     """
-    n = len(values)
-    cube = np.broadcast_to(values, (len(allowed), n, n))
-    top = np.maximum.reduce(cube, axis=1, where=allowed[:, :, None], initial=-np.inf)
+    top = np.empty(len(own))
+    step = max(1, SCAN_BLOCK // max(values.shape[1], 1))
+    for s in range(0, len(own), step):
+        b = slice(s, s + step)
+        np.maximum.reduce(
+            values[own[b]], axis=1, where=allowed[other[b]], initial=-np.inf, out=top[b]
+        )
     hit = lhs < top - tol
     ratio = np.full(lhs.shape, -np.inf)
     np.divide(top, lhs, out=ratio, where=hit)
     # a negative lhs (not a metric) turns the order of the ratios round
-    for r, c in np.argwhere(hit & np.signbit(lhs)).tolist():
-        rhs = values[allowed[r], c]
-        ratio[r, c] = (rhs[lhs[r, c] < rhs - tol] / lhs[r, c]).max()
+    for p in np.flatnonzero(hit & np.signbit(lhs)).tolist():
+        rhs = values[own[p], allowed[other[p]]]
+        ratio[p] = (rhs[lhs[p] < rhs - tol] / lhs[p]).max()
     return ratio
 
 
 def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     """The witness of largest ratio rhs/lhs, or None if the poset is radial.
 
-    Ties go to the first in ``iter_radiality_witnesses`` order: the scan
-    finds the best ratio at every (kind, x, z), and only the first x whose
-    row reaches the maximum is enumerated, to find its first witness of
-    that ratio. The scan runs in O(n^2) memory.
+    Ties go to the first in ``iter_radiality_witnesses`` order. The exact
+    best ratio at a pair (kind, x, z) is computed only when an upper bound
+    ``ub`` can reach the best ratio found so far. An RD1 rhs d(x, y) is at
+    most max_y d(x, y) and an RD2 rhs d(y, z) at most max_y d(y, z); for
+    d(x, z) > 0, fl(a / d(x, z)) is monotone in a, so that bound over
+    d(x, z) is never below the exact ratio. ``ub`` is +inf where d(x, z) is
+    not positive, and -inf for x = z, which admits no y. With U the largest
+    finite ``ub``, passes at thresholds U/2, U/4, ... compute every pair
+    whose ``ub`` reaches the threshold, and stop once the best ratio does;
+    a threshold at or below 1 becomes -inf, a last pass over every pair
+    left. Thresholds whose pass would compute nothing and not stop are
+    skipped. A pair never computed has ratio <= ub < best, so the first
+    (kind, x, z) of largest ratio is the one a full scan finds. Only the
+    first x whose row reaches it is enumerated, to find its first witness
+    of that ratio. The scan runs in O(n^2) memory.
     """
     _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
     strict = poset.strict_matrix
+    n = poset.n
+    kinds = (
+        # RD1, x >=* y > z: rhs d(x, y), not y >= x, as values[x] over allowed[z]
+        (np.where(g.T, -np.inf, d), np.ascontiguousarray(strict.T)),
+        # RD2, x > y >=* z: rhs d(y, z), not z >= y, as values[z] over allowed[x]
+        (np.where(g, -np.inf, d.T), strict),
+    )
+    ub = np.full((2, n, n), np.inf)
+    positive = d > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(d.max(axis=1, initial=-np.inf)[:, None], d, out=ub[0], where=positive)
+        np.divide(d.max(axis=0, initial=-np.inf), d, out=ub[1], where=positive)
+    ub[:, np.arange(n), np.arange(n)] = -np.inf
+    t = ub.max(where=np.isfinite(ub), initial=-np.inf) / 2
+    ratios = np.full((2, n, n), -np.inf)
     with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
-        ratios = np.stack(
-            [
-                # RD1, x >=* y > z: rhs d(x, y) over y, reduced as [z, x]
-                _best_ratios(
-                    np.where(~g, d.T, -np.inf), np.ascontiguousarray(strict.T), d.T, tol
-                ).T,
-                # RD2, x > y >=* z: rhs d(y, z) over y, reduced as [x, z]
-                _best_ratios(np.where(~g.T, d, -np.inf), strict, d, tol),
-            ]
-        )
-        best = ratios.max(initial=-np.inf)
+        while True:
+            if not t > 1:
+                t = -np.inf  # the last pass: every pair left
+            band = ub >= t
+            ub[band] = np.nan  # no later threshold selects a computed pair
+            for k, (values, allowed) in enumerate(kinds):
+                x, z = np.nonzero(band[k])
+                own, other = (x, z) if k == 0 else (z, x)
+                ratios[k, x, z] = _pair_ratios(values, allowed, own, other, d[x, z], tol)
+            best = ratios.max()
+            if best >= t or t == -np.inf:
+                break
+            # halve, skipping thresholds whose pass would compute nothing
+            rest = np.fmax.reduce(ub, axis=None, initial=-np.inf)  # fmax skips NaN
+            t /= 2
+            while t > max(rest, best, 1.0):
+                t /= 2
         if not best > -np.inf:
             return None
         k, x, _ = np.unravel_index(np.argmax(ratios), ratios.shape)

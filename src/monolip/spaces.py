@@ -191,7 +191,12 @@ def hn_order(space, a, b, tol=DEFAULT_TOL):
 
 def ray_order(space, a, b, tol=DEFAULT_TOL):
     """Order comparing only points on the designated ray by parameter;
-    off-ray points are comparable only to themselves."""
+    off-ray points are comparable only to themselves.
+
+    On an ``RTree`` the on-ray test ignores ``tol``: ``RTree.ray_param``
+    matches tree points by the fixed ``trees._POINT_EQ_TOL``. ``tol`` still
+    loosens the distance test and the comparison of parameters there.
+    """
     if space.distance(a, b) <= tol:
         return True
     pa = space.ray_param(a, tol)

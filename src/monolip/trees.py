@@ -229,7 +229,12 @@ class RTree:
         return self.distance(a, self.ray_point(t)) - float(t)
 
     def ray_param(self, a, tol=DEFAULT_TOL):
-        # Uniform interface with the other spaces (generic ray order).
+        """Parameter t with a = sigma(t), or None if a is off the ray.
+
+        Tree points are matched by the fixed ``_POINT_EQ_TOL`` of ``canon``;
+        ``tol`` is ignored and kept only for the signature the other spaces
+        share (``spaces.ray_order`` passes it).
+        """
         return self._on_ray_param(self.canon(a))
 
     # -- the hereditary partial order -------------------------------------------

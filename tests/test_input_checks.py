@@ -98,6 +98,8 @@ def test_poset_order_pairs_take_numpy_integers():
     pairs = np.array([[0, 0], [1, 1], [1, 0]])
     p = ml.FiniteMetricPoset(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [tuple(r) for r in pairs])
     assert p.order == {(0, 0), (1, 1), (1, 0)}
+    p = ml.FiniteMetricPoset(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], pairs)  # rows are arrays
+    assert p.order == {(0, 0), (1, 1), (1, 0)}
 
 
 def test_poset_order_pairs_may_come_from_an_iterator():
@@ -106,7 +108,33 @@ def test_poset_order_pairs_may_come_from_an_iterator():
     assert p.order == {(0, 0), (1, 1), (1, 0)}
 
 
-@pytest.mark.parametrize("order", [[(0, 1, 2), (3,)], [(0, 0), (1,), (2, 2, 3)], [(), (0, 0)]])
+# one check, in the constructor, for the API and for poset files: integers,
+# strings, one-index lists, floats and booleans
+BAD_ORDERS = [[1, 2], ["ab"], [[0]], [[0, 1.0]], [[True, 0]]]
+
+
+@pytest.mark.parametrize("order", BAD_ORDERS)
+def test_poset_order_entries_are_checked_once_for_api_and_files(order, tmp_path):
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(StructureError, match="order entries must be"):
+        ml.FiniteMetricPoset(("a", "b"), dist, order)
+    path = _write(tmp_path, "p.json", {"labels": ["a", "b"], "dist": dist, "order": order})
+    with pytest.raises(SchemaError, match="order entries must be"):
+        files.load_poset(path)
+
+
+# a set or a dict is no (i, j) pair, though it has two integer entries
+@pytest.mark.parametrize(
+    "order",
+    [
+        [(0, 1, 2), (3,)],
+        [(0, 0), (1,), (2, 2, 3)],
+        [(), (0, 0)],
+        [(0, 0), {0, 1}],
+        [(0, 0), {0: 1, 1: 0}],
+        [(0, 0), None],
+    ],
+)
 def test_poset_order_entries_are_not_re_paired(order):
     dist = np.ones((4, 4)) - np.eye(4)
     with pytest.raises(StructureError, match=r"\(i, j\) pairs"):

@@ -6,7 +6,17 @@ The triangle filter of ``validate`` and the witness enumeration run in
 blocks that grow from one row to the SCAN_BLOCK budget (13 rows at n = 70),
 so they cross block boundaries at every size drawn here. Fixed cases add
 n = 1, 2 and 3, one-row blocks (n > 256) and ties at the tolerance.
+
+``max_ratio_witness`` computes exact ratios only for the (kind, x, z) pairs
+whose upper bound reaches the best ratio, in passes of halving thresholds.
+Fixed cases cover many tied best ratios, a tiny distance that needs three
+passes or more, zero distances and a radial poset that needs the last pass
+over every pair; at n = 300 it is compared with the masked max reduction
+over the whole triple cube, an oracle in O(n^2) memory.
 """
+
+import itertools
+
 
 import numpy as np
 import pytest
@@ -197,3 +207,130 @@ def test_max_ratio_witness_matches_full_tensor_reference(seed, n, kind):
     assert _key(poset_mod.max_ratio_witness(p)) == reference_max_ratio(hits)
     assert _key(ml.check_radiality(p)) == (hits[0] if hits else None)
 
+
+
+def _counting(monkeypatch):
+    """Count the pairs ``max_ratio_witness`` computes exactly, and its
+    passes (one ``_pair_ratios`` call per kind and pass)."""
+    seen = {"pairs": 0, "calls": 0}
+    pair_ratios = poset_mod._pair_ratios
+
+    def counted(values, allowed, own, other, lhs, tol):
+        seen["pairs"] += len(own)
+        seen["calls"] += 1
+        return pair_ratios(values, allowed, own, other, lhs, tol)
+
+    monkeypatch.setattr(poset_mod, "_pair_ratios", counted)
+    return seen
+
+
+@pytest.mark.parametrize("side", [6, 7, 8])
+def test_max_ratio_witness_on_integer_grids_breaks_ties_by_first_x(side):
+    p = ml.grid_instance(2, side, 1.0, ml.orthant(2))
+    hits = reference_witnesses(p.dist, p.order_matrix)
+    best = reference_max_ratio(hits)
+    tied = {(h[0], h[1][0], h[1][2]) for h in hits if h[3] / h[2] == best[3] / best[2]}
+    assert len({x for _, x, _ in tied}) > 1  # the best ratio recurs at other x
+    assert _key(poset_mod.max_ratio_witness(p)) == best
+
+
+@pytest.mark.parametrize("tiny", [1e-9, 1e-300])
+def test_max_ratio_witness_runs_a_few_passes_after_a_tiny_distance(tiny, monkeypatch):
+    """p and q are ``tiny`` apart and incomparable to every point: the pair
+    (p, q) admits no y, but its bound sets the first threshold near
+    1 / tiny. Thresholds that would compute nothing are skipped, so the
+    passes stay few even when halving takes a thousand steps."""
+    rng = np.random.default_rng(11)
+    pts = np.vstack(
+        [np.round(rng.uniform(0.0, 5.0, size=(30, 2)), 2), [(-10.0, 20.0), (-9.0, 19.0)]]
+    )
+    q = ml.poset_from_points(pts, ml.orthant(2))
+    d = q.dist.copy()
+    d[30, 31] = d[31, 30] = tiny
+    p = _poset(d, q.order_matrix)
+    seen = _counting(monkeypatch)
+    found = poset_mod.max_ratio_witness(p)
+    assert 3 <= seen["calls"] // 2 <= 8
+    assert seen["pairs"] < p.n * p.n  # most pairs are never computed
+    assert _key(found) == reference_max_ratio(reference_witnesses(d, q.order_matrix))
+
+
+def test_max_ratio_witness_at_zero_distances():
+    """A zero d(x, z) off the diagonal gives the ratio inf; a -0.0 is
+    computed as a negative lhs."""
+    d, g = _instance(np.random.default_rng(3), "integer-points", 30)
+    d = d.copy()
+    kind, (x, y, z), _, _ = reference_witnesses(d, g)[-1]
+    d[x, z] = d[z, x] = 0.0
+    kind, (x, y, z), _, _ = reference_witnesses(d, g)[0]
+    d[x, z] = d[z, x] = -0.0
+    hits = reference_witnesses(d, g)
+    best = reference_max_ratio(hits)
+    assert best[2] == 0.0 < best[3]  # ratio inf
+    assert _key(poset_mod.max_ratio_witness(_poset(d, g))) == best
+
+
+def test_max_ratio_witness_on_a_radial_chain_computes_every_pair(monkeypatch):
+    p = ml.chain_instance(np.arange(25.0) ** 1.5)
+    assert reference_witnesses(p.dist, p.order_matrix) == []
+    seen = _counting(monkeypatch)
+    assert poset_mod.max_ratio_witness(p) is None
+    assert seen["pairs"] == 2 * p.n * p.n  # the last pass took every pair left
+
+
+def reduction_max_ratio(p, tol=1e-9):
+    """(kind, triple, lhs, rhs) of the first witness of largest ratio, from
+    the best ratio at every (kind, x, z) by one masked max reduction over
+    the triple cube per kind, which numpy walks without building it, then a
+    search of the first row that reaches it. Memory stays O(n^2)."""
+    d, g = p.dist, p.order_matrix
+    strict = g & ~np.eye(p.n, dtype=bool)
+
+    def best_ratios(values, allowed, lhs):
+        # the largest rhs values[y, c] with allowed[r, y], over lhs[r, c]
+        n = len(values)
+        cube = np.broadcast_to(values, (len(allowed), n, n))
+        top = np.maximum.reduce(cube, axis=1, where=allowed[:, :, None], initial=-np.inf)
+        hit = lhs < top - tol
+        ratio = np.full(lhs.shape, -np.inf)
+        np.divide(top, lhs, out=ratio, where=hit)
+        for r, c in np.argwhere(hit & np.signbit(lhs)).tolist():
+            rhs = values[allowed[r], c]
+            ratio[r, c] = (rhs[lhs[r, c] < rhs - tol] / lhs[r, c]).max()
+        return ratio
+
+    with np.errstate(divide="ignore"):
+        ratios = np.stack(
+            [
+                # RD1, x >=* y > z: rhs d(x, y) over y, reduced as [z, x]
+                best_ratios(np.where(~g, d.T, -np.inf), np.ascontiguousarray(strict.T), d.T).T,
+                # RD2, x > y >=* z: rhs d(y, z) over y, reduced as [x, z]
+                best_ratios(np.where(~g.T, d, -np.inf), strict, d),
+            ]
+        )
+        best = ratios.max(initial=-np.inf)
+        if not best > -np.inf:
+            return None
+        k, x, _ = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if k == 0:  # [y, z]: x >=* y > z, d(x, z) < d(x, y) - tol
+            rhs = np.broadcast_to(d[x][:, None], (p.n, p.n))
+            mask = ~g[:, x][:, None] & strict & (d[x][None, :] < rhs - tol)
+        else:  # [y, z]: x > y >=* z, d(x, z) < d(y, z) - tol
+            rhs = d
+            mask = strict[x][:, None] & ~g.T & (d[x][None, :] < rhs - tol)
+        y, z = np.nonzero(mask)
+        i = int(np.argmax(rhs[y, z] / d[x, z] == best))
+        y, z = y[i], z[i]
+    return ("RD1", "RD2")[k], (int(x), int(y), int(z)), float(d[x, z]), float(rhs[y, z])
+
+
+@pytest.mark.parametrize("points", ["random", "grid"])
+def test_max_ratio_witness_matches_the_reduction_oracle_at_n_300(points):
+    if points == "random":
+        pts = np.round(np.random.default_rng(8).uniform(-5.0, 5.0, size=(300, 2)), 3)
+    else:
+        pts = np.array(list(itertools.product(range(15), range(20))), dtype=float)
+    p = ml.poset_from_points(pts, ml.orthant(2))
+    found = poset_mod.max_ratio_witness(p, triple_cap=300**3)
+    assert found is not None
+    assert _key(found) == reduction_max_ratio(p)
