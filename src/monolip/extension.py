@@ -202,30 +202,30 @@ def line_extend(points, values, queries, cone=None, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra(W, sources):
+def _shortest_paths(W, sources):
     """Shortest-path lengths from each source to every node of the complete
     digraph with costs ``W[i, j] >= 0`` on edge i -> j, as a (k, n) array.
 
-    One Dijkstra (1959) per source, all run side by side: each of the n
-    steps settles, in every row, the open node nearest its source and
-    relaxes that node's row of W. The work arrays are updated in place,
-    through flat indices (row r, node u) -> r n + u.
+    Bellman-Ford (1958) rounds from all sources at once: D starts as the
+    one-edge paths ``W[sources]``, each source's own entry 0, and each
+    round relaxes, through the blocked min-plus product, only the nodes
+    whose entry fell in the previous round; the rounds stop when none
+    falls. With W >= 0, fl(a + w) >= a and fl(a + w) is monotone in a, so
+    the fixed point is the least left-to-right path sum, the value any
+    exact shortest-path method returns, bit for bit, and it is reached
+    within n rounds. A negative cost can keep the rounds going for ever,
+    so callers check W first.
     """
     sources = np.asarray(sources)
-    k, n = len(sources), W.shape[0]
-    base = n * np.arange(k)  # flat index of each row's first entry
-    D = np.full((k, n), np.inf)
-    done = np.zeros((k, n))  # +inf once a node is settled
-    key = np.empty((k, n))
-    D_flat, done_flat = D.reshape(-1), done.reshape(-1)
-    D_flat[base + sources] = 0.0
-    for _ in range(n):
-        u = np.add(D, done, out=key).argmin(axis=1)
-        at = base + u
-        done_flat[at] = np.inf
-        step = W.take(u, axis=0)
-        step += D_flat[at][:, None]
+    # 0.0 + w: a -0.0 cost gives the 0.0 of every longer path sum
+    D = W[sources] + 0.0
+    D[np.arange(len(sources)), sources] = 0.0
+    front = np.arange(W.shape[0])
+    while front.size:
+        step = poset_mod._min_plus(D[:, front], W[front])
+        fell = step < D
         np.minimum(D, step, out=D)
+        front = np.flatnonzero(fell.any(axis=0))
     return D
 
 
@@ -235,7 +235,10 @@ class _ScalarPaths:
     ``D[a, x]`` is D*(s_a, x), the shortest-path length from anchor s_a to x
     in the complete digraph on X whose edge i -> j costs 0 when the order
     forces F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise;
-    ``_dijkstra`` computes it from the dense cost matrix, with numpy only.
+    ``_shortest_paths`` computes it from the dense cost matrix by frontier
+    Bellman-Ford rounds, with numpy only. Those need costs >= 0, so a
+    negative d(i, j) on an edge that is not free raises StructureError
+    before the first round.
     Any order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
     U(x) = min_s f(s) + K D*(s, x) meets every constraint, so an extension
     exists at K iff f(b) - f(a) <= K D*(a, b) on all anchor pairs, and U is
@@ -247,7 +250,14 @@ class _ScalarPaths:
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
         up, down = problem.target._line_signs
         free = (g & ~down) | (g.T & ~up)
-        self.D = _dijkstra(np.where(free, 0.0, problem.domain.dist), problem.subset)
+        W = np.where(free, 0.0, problem.domain.dist)
+        if np.any(W < 0.0):
+            i, j = np.argwhere(W < 0.0)[0].tolist()
+            raise StructureError(
+                f"d({i},{j}) = {W[i, j]} < 0 on a pair the order leaves apart: "
+                "shortest paths need nonnegative distances"
+            )
+        self.D = _shortest_paths(W, problem.subset)
         self.f = problem.f[:, 0]
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
@@ -716,4 +726,11 @@ def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
     )
     if res.status != 0:
         raise ConvergenceError(f"monotone-Lipschitz fit failed: {res.message}")
-    return res.x[:k]
+    # HiGHS meets the rows only to its absolute feasibility tolerance of
+    # 1e-7, above the 1e-9 that ExtensionProblem allows. Lowering each value
+    # to min_b x_b + D(b, a), over the shortest paths D of the rows' costs
+    # (edge b -> a costs 0 when b >= a, L d(b, a) otherwise), meets every
+    # row up to rounding and moves no value by more than the violations
+    # summed along one path.
+    W = np.where(domain.order_matrix[sub], 0.0, lipschitz * domain.dist[sub])
+    return np.min(res.x[:k, None] + _shortest_paths(W, np.arange(k)), axis=0)

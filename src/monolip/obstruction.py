@@ -141,7 +141,9 @@ def _subposet(poset, indices):
     )
 
 
-def e2_lower_bound(poset, target, tol=1e-9, triple_cap=poset_mod.DEFAULT_TRIPLE_CAP):
+def e2_lower_bound(
+    poset, target, tol=poset_mod.DEFAULT_TOL, triple_cap=poset_mod.DEFAULT_TRIPLE_CAP
+):
     """Best certified lower bound over all radiality witnesses (1 if the
     poset is radial); returns (bound, certificate_or_None)."""
     best = poset_mod.max_ratio_witness(poset, tol, triple_cap)

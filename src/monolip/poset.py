@@ -24,10 +24,11 @@ DEFAULT_TOL = 1e-9
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
 
-#: Largest block of the triangle filter in ``validate``, of the radiality
-#: witness enumeration and of the row gathers of ``max_ratio_witness``, in
-#: triples. Larger blocks save little time and leave larger temporaries
-#: behind in the heap.
+#: Largest block of the min-plus product (the triangle filter of
+#: ``validate`` and the shortest paths of the scalar route), of the
+#: radiality witness enumeration and of the row gathers of
+#: ``max_ratio_witness``, in entries. Larger blocks save little time and
+#: leave larger temporaries behind in the heap.
 SCAN_BLOCK = 1 << 16
 
 
@@ -126,6 +127,32 @@ def bullet(poset, x, y):
     return poset.bullet(x, y)
 
 
+def _min_plus(A, B):
+    """The min-plus product ``out[r, v] = min_u A[r, u] + B[u, v]``.
+
+    Each block of sums holds at most SCAN_BLOCK entries: whole rows of
+    ``out`` while one row fits, else one row at a time over slices of u,
+    merged by ``np.minimum``. A minimum is exact, so the blocks change no
+    bit of the result.
+    """
+    k, m = A.shape
+    n = B.shape[1]
+    out = np.empty((k, n))
+    part = min(m, max(1, SCAN_BLOCK // max(n, 1)))
+    if part == m:
+        rows = max(1, SCAN_BLOCK // max(m * n, 1))
+        for s in range(0, k, rows):
+            np.min(A[s : s + rows, :, None] + B[None], axis=1, out=out[s : s + rows])
+        return out
+    rest = np.empty(n)
+    for r in range(k):
+        np.min(A[r, :part, None] + B[:part], axis=0, out=out[r])
+        for t in range(part, m, part):
+            np.min(A[r, t : t + part, None] + B[t : t + part], axis=0, out=rest)
+            np.minimum(out[r], rest, out=out[r])
+    return out
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -145,13 +172,18 @@ class ValidationReport:
 def validate(poset, tol=DEFAULT_TOL):
     """Check every metric and partial-order axiom; report all violations.
 
-    The triangle inequality is checked by a min-plus row filter: for blocks
-    of rows it computes the shortest two-step distance
-    ``short[i, j] = min_k d(i, k) + d(k, j)`` and flags row i iff some
-    ``d(i, j) > short[i, j] + tol``. Because fl(s + tol) is monotone in s,
-    that holds iff some k has ``d(i, j) > (d(i, k) + d(k, j)) + tol``, the
-    very test applied to each triple, so the flagged rows are exactly the
-    rows that hold a violation, for any input matrix. Only flagged rows are
+    The triangle inequality is checked by a min-plus row filter: it
+    computes the shortest two-step distance
+    ``short[i, j] = min_k d(i, k) + d(k, j)`` by the blocked min-plus
+    product and flags row i iff some ``d(i, j) > short[i, j] + tol``.
+    Because fl(s + tol) is monotone in s, that holds iff some k has
+    ``d(i, j) > (d(i, k) + d(k, j)) + tol``, the very test applied to each
+    triple, so the flagged rows are exactly the rows that hold a violation,
+    for any input matrix. When d equals its transpose exactly (as it does
+    for posets built from points), the test at (j, i, k) reads the same
+    values as the one at (i, j, k), so each unordered pair {i, j} is
+    computed once, by blocks of rows over the columns from the block's
+    first row on, and a hit flags both rows. Only flagged rows are
     enumerated; violations come in (i, j, k) order. Memory stays O(n^2).
     """
     d = poset.dist
@@ -178,15 +210,24 @@ def validate(poset, tol=DEFAULT_TOL):
             )
         if neg[p]:
             out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
-    # The row filter of the docstring, by blocks of at most SCAN_BLOCK
-    # triples (one row at least), then the flagged rows in order. In a
+    # The row filter of the docstring, then the flagged rows in order. In a
     # flagged row argwhere walks (j, k) in row-major order, so violations
     # come in (i, j, k) order.
-    step = max(1, SCAN_BLOCK // max(n * n, 1))
-    flagged = np.empty(n, dtype=bool)
-    for s in range(0, n, step):
-        short = np.min(d[s : s + step, :, None] + d[None], axis=1)
-        np.any(d[s : s + step] > short + tol, axis=1, out=flagged[s : s + step])
+    if np.array_equal(d, d.T):
+        # Blocks of rows of about SCAN_BLOCK triples, columns j >= the
+        # block's first row only, +inf elsewhere: fl(a + b) = fl(b + a),
+        # and a signed zero that array_equal lets differ changes no
+        # comparison.
+        short = np.full((n, n), np.inf)
+        s = 0
+        while s < n:
+            e = s + max(1, SCAN_BLOCK // (n * (n - s)))
+            short[s:e, s:] = _min_plus(d[s:e], d[:, s:])
+            s = e
+        hit = d > short + tol
+        flagged = hit.any(axis=1) | hit.any(axis=0)
+    else:
+        flagged = np.any(d > _min_plus(d, d) + tol, axis=1)
     for i in np.flatnonzero(flagged).tolist():
         bad = d[i][:, None] > d[i][None, :] + d.T + tol
         for j, k in np.argwhere(bad).tolist():

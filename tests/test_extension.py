@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import monolip as ml
-from monolip import cones, extension
+from monolip import cones, extension, poset as poset_mod
 from monolip.errors import ConvergenceError, RadialityRequiredError, StructureError
 
 from conftest import (
@@ -319,6 +319,22 @@ def _fitted_problem(rng, domain, target=ml.scalar_cone()):
     return ml.ExtensionProblem(domain=domain, subset=subset, target=target, f=f)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=16138141)
+def test_fitted_map_meets_its_rows_to_rounding(seed):
+    # The LP meets its rows only to HiGHS's 1e-7; the fit must meet them
+    # to rounding, well inside ExtensionProblem's 1e-9.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 4))
+    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "linf"))
+    sub = np.ix_(p.subset, p.subset)
+    diff = p.f[:, None, :] - p.f[None, :, :]
+    slack = 1e-12 * (1.0 + np.abs(p.f).max())
+    assert (np.abs(diff).max(axis=2) <= p.domain.dist[sub] + slack).all()
+    assert (diff[p.domain.order_matrix[sub]] >= -slack).all()
+
+
 def _floyd_warshall(W):
     D = W.copy()
     np.fill_diagonal(D, 0.0)
@@ -329,7 +345,7 @@ def _floyd_warshall(W):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_dijkstra_matches_floyd_warshall(seed):
+def test_shortest_paths_match_floyd_warshall(seed):
     rng = np.random.default_rng(seed)
     domain = random_metric_poset(rng, max_points=12)
     n, g = domain.n, domain.order_matrix
@@ -337,7 +353,7 @@ def test_dijkstra_matches_floyd_warshall(seed):
     # Asymmetric costs, with up to 90% of the edges free.
     W = np.where(rng.random((n, n)) < rng.uniform(0.0, 0.9), 0.0, domain.dist)
     np.testing.assert_allclose(
-        extension._dijkstra(W, sources), _floyd_warshall(W)[sources], rtol=1e-12, atol=0.0
+        extension._shortest_paths(W, sources), _floyd_warshall(W)[sources], rtol=1e-12, atol=0.0
     )
     subset = tuple(sorted(int(s) for s in sources))
     for target, free in (
@@ -365,17 +381,94 @@ def _bellman_ford(W, sources):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_dijkstra_is_the_bellman_ford_fixed_point_bit_for_bit(seed):
-    # Float addition of a nonnegative cost never lowers a sum, so both
-    # compute the least left-to-right path sum, to the last bit.
+def test_shortest_paths_are_the_bellman_ford_fixed_point_bit_for_bit(seed):
+    # Float addition of a nonnegative cost never lowers a sum, so the
+    # frontier rounds and full rounds compute the least left-to-right path
+    # sum, to the last bit.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 25))
-    # Rounded costs give ties; a share of them are zero-cost edges.
+    # Rounded costs give ties; a share of them are zero-cost edges, some
+    # of those -0.0, which no path sum from a source keeps.
     W = np.round(rng.exponential(size=(n, n)), int(rng.integers(0, 4)))
     W[rng.random((n, n)) < rng.uniform(0.0, 0.6)] = 0.0
+    W[rng.random((n, n)) < 0.1] = -0.0
     sources = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-    D = extension._dijkstra(W, sources)
+    D = extension._shortest_paths(W, sources)
+    want = _bellman_ford(W, sources)
+    assert np.array_equal(D, want)
+    assert np.array_equal(np.signbit(D), np.signbit(want))
+
+
+def _hop_chain(n):
+    """Costs whose shortest paths from node 0 take the n - 1 hops
+    0 -> 1 -> ... -> n - 1: each hop costs 1 and every other edge i -> j
+    costs 2^-20 more than |j - i| hops, so that each round lowers the node
+    after the last one reached by only 2^-20."""
+    i = np.arange(n)
+    W = np.abs(i[:, None] - i[None, :]) + 2.0**-20
+    W[i[:-1], i[1:]] = 1.0
+    return W
+
+
+def _counting_rounds(monkeypatch):
+    """Count the min-plus products, one per round of ``_shortest_paths``."""
+    seen = []
+    min_plus = poset_mod._min_plus
+
+    def counted(A, B):
+        seen.append(A.shape[1])
+        return min_plus(A, B)
+
+    monkeypatch.setattr(poset_mod, "_min_plus", counted)
+    return seen
+
+
+def test_shortest_paths_walk_an_n_hop_chain_in_about_n_rounds(monkeypatch):
+    n = 40
+    W = _hop_chain(n)
+    rounds = _counting_rounds(monkeypatch)
+    D = extension._shortest_paths(W, [0])
+    assert np.array_equal(D, _bellman_ford(W, [0]))
+    assert np.array_equal(D[0], np.arange(n, dtype=float))
+    # D starts with the one-hop paths; round r reaches node r + 1 and
+    # relaxes only the node reached before it, and in the last round
+    # nothing falls
+    assert rounds == [n] + [1] * (n - 2)
+
+
+@pytest.mark.parametrize("block", [1, 30, 300])
+def test_shortest_paths_in_blocks_match_the_fixed_point(block, monkeypatch):
+    """A tiny SCAN_BLOCK splits every round: into one row at a time over
+    slices of the frontier (1, 30), or into blocks of rows (300)."""
+    rng = np.random.default_rng(block)
+    n = 12
+    W = np.round(rng.exponential(size=(n, n)), 1)
+    W[rng.random((n, n)) < 0.3] = 0.0
+    W = np.minimum(W, _hop_chain(n))
+    sources = np.array([0, 3, 5, 11])
+    want = extension._shortest_paths(W, sources)
+    monkeypatch.setattr(poset_mod, "SCAN_BLOCK", block)
+    D = extension._shortest_paths(W, sources)
+    assert np.array_equal(D, want)
     assert np.array_equal(D, _bellman_ford(W, sources))
+
+
+def test_scalar_route_rejects_a_negative_distance():
+    # Shortest paths need nonnegative costs; the pair (2, 3) is neither an
+    # anchor pair nor ordered, so construction does not see it.
+    domain = ml.poset_from_points(
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0)], ml.orthant(2)
+    )
+    d = domain.dist.copy()
+    d[2, 3] = d[3, 2] = -1.0
+    domain = ml.FiniteMetricPoset(labels=domain.labels, dist=d, order=domain.order_matrix)
+    p = ml.ExtensionProblem(
+        domain=domain, subset=(0, 1), target=ml.scalar_cone(), f=[[0.0], [1.0]]
+    )
+    with pytest.raises(StructureError, match="nonnegative"):
+        ml.scalar_extend(p)
+    with pytest.raises(StructureError, match="nonnegative"):
+        ml.estimate_e(p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,6 +510,7 @@ def test_radial_domain_extends_at_one(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=16138141)  # HiGHS's fit broke a Lipschitz row by 6e-8
 def test_linf_lp_decouples_into_scalar_routes(seed):
     # LINF pair rows and orthant order rows each bind one coordinate, so the
     # vector LP's least K is the worst coordinate's exact scalar K.

@@ -3,9 +3,12 @@
 references.
 
 The triangle filter of ``validate`` and the witness enumeration run in
-blocks that grow from one row to the SCAN_BLOCK budget (13 rows at n = 70),
-so they cross block boundaries at every size drawn here. Fixed cases add
-n = 1, 2 and 3, one-row blocks (n > 256) and ties at the tolerance.
+blocks of rows under the SCAN_BLOCK budget, so they cross block boundaries
+at every size drawn here. On an exactly symmetric matrix the filter
+computes each unordered pair once, so symmetric kinds, whose violations
+come in mirrored pairs, are drawn next to asymmetric ones. Fixed cases add
+n = 1, 2 and 3, one-row blocks (n > 256), ties at the tolerance and a
+matrix one ulp off symmetric.
 
 ``max_ratio_witness`` computes exact ratios only for the (kind, x, z) pairs
 whose upper bound reaches the best ratio, in passes of halving thresholds.
@@ -36,6 +39,7 @@ KINDS = st.sampled_from(
         "independent-metric",
         "asymmetric",
         "non-metric",
+        "symmetric-non-metric",
         "negative",
         "relation",
     ]
@@ -66,6 +70,9 @@ def _instance(rng, kind, n):
     if kind == "non-metric":  # triangle violations, zeros and negatives
         d = np.round(d + rng.normal(scale=1.5, size=(n, n)), 0)
         return d, g
+    if kind == "symmetric-non-metric":  # violations in mirrored pairs
+        upper = np.triu(np.round(d + rng.normal(scale=1.5, size=(n, n)), 0), 1)
+        return upper + upper.T, g
     if kind == "negative":  # the best ratio has the least rhs at each (x, z)
         return -np.round(rng.uniform(0.5, 3.0, size=(n, n)), 1), g
     # a random relation: missing reflexive pairs, cycles, no transitivity
@@ -137,10 +144,16 @@ def _key(w):
 @VALIDATE
 @given(seed=SEEDS, n=SIZES, kind=KINDS)
 @example(seed=0, n=70, kind="non-metric")
+@example(seed=0, n=70, kind="symmetric-non-metric")
 def test_validate_matches_full_tensor_reference(seed, n, kind):
     d, g = _instance(np.random.default_rng(seed), kind, n)
     report = ml.validate(_poset(d, g))
-    assert [(v.kind, v.indices) for v in report.violations] == reference_violations(d, g)
+    found = [(v.kind, v.indices) for v in report.violations]
+    assert found == reference_violations(d, g)
+    if kind == "symmetric-non-metric":
+        triangles = {idx for k, idx in found if k == "triangle inequality"}
+        assert triangles  # noise of this scale always breaks the metric
+        assert {(j, i, k) for i, j, k in triangles} == triangles
 
 
 def _triangle_tie(gap):
@@ -151,6 +164,14 @@ def _triangle_tie(gap):
     for _ in range(gap):
         far = np.nextafter(far, np.inf)
     return np.array([[0.0, a, far], [a, 0.0, b], [far, b, 0.0]])
+
+
+def _one_ulp_off_symmetric():
+    """The tie with d(2, 0) one ulp above it: a matrix one ulp off
+    symmetric, with the violation (2, 0, 1) but not its mirror (0, 2, 1)."""
+    d = _triangle_tie(0)
+    d[2, 0] = np.nextafter(d[2, 0], np.inf)
+    return d
 
 
 SMALL_CASES = {
@@ -164,6 +185,7 @@ SMALL_CASES = {
     ),
     "three-points-tie": (_triangle_tie(0), np.eye(3, dtype=bool)),
     "three-points-ulp-above-tie": (_triangle_tie(1), np.eye(3, dtype=bool)),
+    "three-points-one-ulp-off-symmetric": (_one_ulp_off_symmetric(), np.eye(3, dtype=bool)),
 }
 
 
@@ -177,6 +199,18 @@ def test_validate_small_cases_match_full_tensor_reference(case):
         assert triangles == []
     if case == "three-points-ulp-above-tie":
         assert triangles == [(0, 2, 1), (2, 0, 1)]
+    if case == "three-points-one-ulp-off-symmetric":
+        assert triangles == [(2, 0, 1)]
+
+
+def test_validate_one_ulp_off_symmetric_matches_full_tensor_reference():
+    """One entry of a symmetric non-metric matrix moved by one ulp: the
+    filter scans every (i, j), and the result still matches."""
+    d, g = _instance(np.random.default_rng(4), "symmetric-non-metric", 40)
+    d[3, 17] = np.nextafter(d[3, 17], np.inf)
+    assert not np.array_equal(d, d.T)
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
+    assert found == reference_violations(d, g)
 
 
 def test_validate_one_row_blocks_match_full_tensor_reference():
