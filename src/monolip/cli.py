@@ -244,9 +244,7 @@ def _result_doc(res):
             "lipschitz": res.residuals.lipschitz,
             "order": res.residuals.order,
             "anchor": res.residuals.anchor,
-        }
-        if res.residuals is not None
-        else None,
+        },
     }
 
 
@@ -291,10 +289,9 @@ def _cmd_extend(args, report):
     else:
         raise SchemaError(f"unknown mode {args.mode!r}")
     report.outcome = _result_doc(res)
-    report.say(f"status: {res.status}" + (f", K = {_fmt(res.K)}" if res.K else ""))
-    if res.values is not None:
-        for lab, v in zip(problem.domain.labels, np.atleast_2d(res.values)):
-            report.say(f"  {lab}: ({', '.join(_fmt(c) for c in v)})")
+    report.say(f"status: {res.status}, K = {_fmt(res.K)}")
+    for lab, v in zip(problem.domain.labels, np.atleast_2d(res.values)):
+        report.say(f"  {lab}: ({', '.join(_fmt(c) for c in v)})")
     if res.status == extension.FEASIBLE:
         return EXIT_OK
     if res.status == extension.INFEASIBLE:
@@ -376,7 +373,6 @@ def _cmd_estimate_e(args, report):
                 subset=problem.subset,
                 target=problem.target,
                 f=f,
-                tol=1e-6,
             )
             est = extension.estimate_e(sampled, max_iter=args.max_iter)
             best = max(best, est.K)

@@ -7,11 +7,13 @@ Each class of target has one route:
 * shortest paths for scalar targets: the constraints are difference
   constraints, so the least K and the greatest extension have closed forms
   (McShane 1934) in the shortest-path lengths of one digraph on X,
-* one sparse LP for polyhedral-norm vector targets (L1/LINF); the LP
-  also serves as the independent oracle for the scalar route,
-* cutting planes on the same sparse LP for Euclidean vector targets
-  (Kelley 1960): rounds of the min-K LP, with tangent cuts on the pair
-  balls between rounds, bracket the least K from both sides.
+* rounds of one sparse min-K LP for vector targets (``_lp_rounds``). Its
+  rows are exact for polyhedral norms (L1/LINF), so one round decides;
+  for Euclidean targets they relax the pair balls, and tangent cuts
+  between rounds (Kelley 1960) bracket the least K from both sides.
+
+The fixed-K LP (``lp_feasible_at_K``) and the min-K LP on its own
+(``min_lipschitz_lp``) are kept as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 MAX_ROUNDS = 100
 BRACKET_TOL = 1e-4
-#: HiGHS's feasibility tolerance, read as relative: the L2 rounds call K
+#: HiGHS's feasibility tolerance, read as relative: the LP rounds call K
 #: Infeasible only once the LP bound K_lo exceeds K (1 + LP_FEAS_TOL).
 LP_FEAS_TOL = 1e-7
 
@@ -214,8 +216,13 @@ def _shortest_paths(W, sources):
     the fixed point is the least left-to-right path sum, the value any
     exact shortest-path method returns, bit for bit, and it is reached
     within n rounds. A negative cost can keep the rounds going for ever,
-    so callers check W first.
+    so it raises StructureError before the first round.
     """
+    if np.any(W < 0.0):
+        i, j = np.argwhere(W < 0.0)[0].tolist()
+        raise StructureError(
+            f"edge {i} -> {j} costs {W[i, j]} < 0: shortest paths need nonnegative costs"
+        )
     sources = np.asarray(sources)
     # 0.0 + w: a -0.0 cost gives the 0.0 of every longer path sum
     D = W[sources] + 0.0
@@ -236,9 +243,8 @@ class _ScalarPaths:
     in the complete digraph on X whose edge i -> j costs 0 when the order
     forces F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise;
     ``_shortest_paths`` computes it from the dense cost matrix by frontier
-    Bellman-Ford rounds, with numpy only. Those need costs >= 0, so a
-    negative d(i, j) on an edge that is not free raises StructureError
-    before the first round.
+    Bellman-Ford rounds, with numpy only, and raises StructureError on a
+    negative d(i, j) on an edge that is not free.
     Any order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
     U(x) = min_s f(s) + K D*(s, x) meets every constraint, so an extension
     exists at K iff f(b) - f(a) <= K D*(a, b) on all anchor pairs, and U is
@@ -250,14 +256,7 @@ class _ScalarPaths:
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
         up, down = problem.target._line_signs
         free = (g & ~down) | (g.T & ~up)
-        W = np.where(free, 0.0, problem.domain.dist)
-        if np.any(W < 0.0):
-            i, j = np.argwhere(W < 0.0)[0].tolist()
-            raise StructureError(
-                f"d({i},{j}) = {W[i, j]} < 0 on a pair the order leaves apart: "
-                "shortest paths need nonnegative distances"
-            )
-        self.D = _shortest_paths(W, problem.subset)
+        self.D = _shortest_paths(np.where(free, 0.0, problem.domain.dist), problem.subset)
         self.f = problem.f[:, 0]
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
@@ -388,8 +387,11 @@ def _require_polyhedral(problem):
 
 
 def lp_feasible_at_K(problem, K):
-    """Exact LP feasibility at Lipschitz constant K (status, values), for
-    scalar and L1/LINF targets."""
+    """The fixed-K LP (status, values), for scalar and L1/LINF targets.
+
+    A test oracle only: ``feasibility_at_K`` decides from the min-K LP, so
+    this checks it against a second LP that never sees K_min.
+    """
     from scipy.optimize import linprog
 
     _require_polyhedral(problem)
@@ -451,26 +453,29 @@ def min_lipschitz_lp(problem):
     return K, values
 
 
-def _l2_rounds(problem, max_rounds):
-    """Kelley's outer linearisation of the L2 pair balls, for m > 1.
+def _lp_rounds(problem, max_rounds):
+    """Rounds of the min-K LP for a vector target (m > 1).
 
-    Each round solves the min-K LP and yields (K_lo, K_hi, values). The
-    rows relax every ball ||F_i - F_j|| <= K d(i, j), so the LP optimum
-    K_lo is a lower bound. The LP's F, and its midpoint with the best F so
-    far, meet the anchors and the order rows, so K_hi = max ||F_i - F_j||
-    / d(i, j) over them is attained; the least K_hi so far is yielded with
-    its values. Between rounds, each pair that leaves its ball at K_lo, at
-    either point, gets the tangent cut <u, F_i - F_j> <= K d(i, j), u the
-    unit direction of F_i - F_j there. Cutting at the midpoint too (in-out
-    separation) keeps the LP's vertex from roaming over a flat optimal
-    face. No K at all yields (inf, inf, None).
+    Each round solves the min-K LP and yields (K_lo, K_hi, values). Its
+    rows are exact for L1/LINF and relax every ball ||F_i - F_j|| <= K
+    d(i, j) for L2, so the LP optimum K_lo is a lower bound. The LP's F,
+    and its midpoint with the best F so far, meet the anchors and the order
+    rows, so K_hi = max ||F_i - F_j|| / d(i, j) over them, in the target's
+    norm, is attained; the least K_hi so far is yielded with its values.
+    Exact rows leave nothing to cut, so L1/LINF targets stop after one
+    round. For L2 (Kelley's outer linearisation), between rounds each pair
+    that leaves its ball at K_lo, at either point, gets the tangent cut
+    <u, F_i - F_j> <= K d(i, j), u the unit direction of F_i - F_j there.
+    Cutting at the midpoint too (in-out separation) keeps the LP's vertex
+    from roaming over a flat optimal face. No K at all yields
+    (inf, inf, None).
     """
     from scipy import sparse
 
     if max_rounds < 1:
         raise StructureError("max_iter must be at least 1")
     a_ub, lip, a_eq, b_eq, nvar = _lp_rows(problem)
-    n, m = problem.domain.n, problem.target.dim
+    n, m, norm = problem.domain.n, problem.target.dim, problem.target.norm
     F = np.arange(n * m).reshape(n, m)
     i, j = problem.domain.upper_pairs
     d = problem.domain.dist[i, j]
@@ -485,7 +490,7 @@ def _l2_rounds(problem, max_rounds):
         pairs, dirs = [], []
         for point in points:
             diff = point[i] - point[j]
-            gap = cones.norm_many(diff, "l2")
+            gap = cones.norm_many(diff, norm)
             k = float(np.max(gap[apart] / d[apart], initial=0.0))
             if k < k_hi:
                 k_hi, best = k, point
@@ -494,7 +499,7 @@ def _l2_rounds(problem, max_rounds):
             dirs.append(diff[cut] / gap[cut, None])
         yield k_lo, k_hi, best
         pairs, dirs = np.concatenate(pairs), np.concatenate(dirs)
-        if not pairs.size:
+        if norm != "l2" or not pairs.size:
             return
         row = np.arange(pairs.size)[:, None]
         cuts = _sparse([(row, F[i[pairs]], dirs), (row, F[j[pairs]], -dirs)], (pairs.size, nvar))
@@ -502,21 +507,26 @@ def _l2_rounds(problem, max_rounds):
         lip = np.concatenate([lip, d[pairs]])
 
 
+def _residual_bound(problem, K):
+    """The largest ``verify_extension`` residual that a Feasible K accepts."""
+    return DEFAULT_TOL * (1.0 + K * float(np.max(problem.domain.dist)))
+
+
 def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
     """Decide whether an order-preserving K-Lipschitz extension exists.
 
     Scalar targets are decided exactly by shortest paths (the values are
-    the greatest extension), polyhedral-norm (L1/LINF) targets by linear
-    programming. Euclidean vector targets run up to ``max_iter`` cutting-
-    plane rounds: Infeasible once the LP bound K_lo exceeds K by more than
-    the LP tolerance, Feasible once an attained K_hi <= K, else Unknown
-    with the best values found. Every Feasible checks its own values: a
-    ``verify_extension`` residual above DEFAULT_TOL (1 + K max d) makes it
-    Unknown.
+    the greatest extension). Vector targets run the LP rounds: Infeasible
+    once the LP bound K_lo exceeds K (1 + LP_FEAS_TOL). Otherwise L1/LINF
+    targets, whose one round is exact, are Feasible with the LP's own
+    values at K_lo; Euclidean targets are Feasible once an attained K_hi
+    <= K within ``max_iter`` rounds, else Unknown with the best values
+    found. Every Feasible checks its own values: a ``verify_extension``
+    residual above DEFAULT_TOL (1 + K max d) makes it Unknown.
     """
     if not 0.0 < K < np.inf:
         raise StructureError("K must be positive and finite")
-    bound = DEFAULT_TOL * (1.0 + K * float(np.max(problem.domain.dist)))
+    bound = _residual_bound(problem, K)
     if len(problem.subset) == problem.domain.n:
         values = np.zeros((problem.domain.n, problem.target.dim))
         values[list(problem.subset)] = problem.f
@@ -527,14 +537,13 @@ def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
     if problem.is_scalar:
         route = _ScalarPaths(problem)
         status, values = (FEASIBLE, route.values(K)) if route.fits(K) else (INFEASIBLE, None)
-    elif problem.target.norm in ("l1", "linf"):
-        status, values = lp_feasible_at_K(problem, K)
     else:
-        for k_lo, k_hi, values in _l2_rounds(problem, max_iter):
+        exact = problem.target.norm != "l2"
+        for k_lo, k_hi, values in _lp_rounds(problem, max_iter):
             if k_lo > K * (1.0 + LP_FEAS_TOL):
                 status = INFEASIBLE
                 break
-            if k_hi <= K:
+            if exact or k_hi <= K:
                 status = FEASIBLE
                 break
         else:
@@ -561,8 +570,9 @@ def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
 class EstimateResult:
     """The minimal admissible Lipschitz constant of one problem.
 
-    Exact routes (shortest paths for scalar targets, one LP for L1/LINF
-    targets) give ``K = lo = hi``, conclusive, with an empty ``trace``.
+    Exact routes (shortest paths for scalar targets, one LP round for
+    L1/LINF targets) give ``K = lo = hi``, conclusive, with an empty
+    ``trace``.
     Euclidean vector targets give the cutting-plane bracket: ``lo`` and
     ``hi`` are max(1, K_lo) and max(1, K_hi) of the last round, ``K`` is
     their midpoint, ``trace`` lists each round's (K_lo, K_hi), and
@@ -581,29 +591,31 @@ class EstimateResult:
 
 
 def estimate_e(problem, tol=BRACKET_TOL, max_iter=MAX_ROUNDS):
-    """The minimal K with a feasible extension: exact for scalar and
-    L1/LINF targets, bracketed to width ``tol`` by at most ``max_iter``
-    cutting-plane rounds for Euclidean vector targets.
+    """The minimal K with a feasible extension: exact for scalar targets
+    (shortest paths) and for L1/LINF targets (max(1, K_lo) of the one LP
+    round), bracketed to width ``tol`` by at most ``max_iter`` LP rounds
+    for Euclidean vector targets.
 
-    This is a per-f quantity: a lower bound on the supremal extension
-    modulus of (X, S, target) over all admissible maps f.
+    As on the scalar route, K is exactly 1 iff K = 1 fits: an L1/LINF K_lo
+    within the LP tolerance above 1 gives 1 when the LP's values verify at
+    K = 1. This is a per-f quantity: a lower bound on the supremal
+    extension modulus of (X, S, target) over all admissible maps f.
     """
     if len(problem.subset) <= 1 or len(problem.subset) == problem.domain.n:
         return EstimateResult.exact(1.0)
     if problem.is_scalar:
         return EstimateResult.exact(_ScalarPaths(problem).least_K())
-    if problem.target.norm in ("l1", "linf"):
-        K = max(1.0, min_lipschitz_lp(problem)[0])
-        # As on the scalar route, K_min is exactly 1 iff K = 1 fits: within
-        # the LP tolerance above 1, verified values at K = 1 decide.
-        if 1.0 < K <= 1.0 + LP_FEAS_TOL and feasibility_at_K(problem, 1.0).status == FEASIBLE:
-            K = 1.0
-        return EstimateResult.exact(K)
 
     trace = []
-    for k_lo, k_hi, _ in _l2_rounds(problem, max_iter):
+    for k_lo, k_hi, values in _lp_rounds(problem, max_iter):
         if k_lo == np.inf:
             raise ConvergenceError("no Lipschitz constant admits an extension")
+        if problem.target.norm != "l2":
+            K = max(1.0, k_lo)
+            if 1.0 < K <= 1.0 + LP_FEAS_TOL:
+                if verify_extension(problem, values, 1.0).max() <= _residual_bound(problem, 1.0):
+                    K = 1.0
+            return EstimateResult.exact(K)
         trace.append((k_lo, k_hi))
         lo, hi = max(1.0, k_lo), max(1.0, k_hi)
         if hi - lo <= tol:
@@ -683,54 +695,17 @@ def componentwise_extend(problem):
 
 
 def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
-    """Nearest (in summed absolute deviation) order-preserving
-    ``lipschitz``-Lipschitz scalar map on the subset to the raw values.
+    """The greatest order-preserving ``lipschitz``-Lipschitz scalar map on
+    the subset at or below the raw values.
 
-    Used to turn arbitrary random values into admissible test maps.
+    U(a) = min_b raw_b + D(b, a) (McShane 1934), over the shortest paths D
+    of the digraph on the subset whose edge b -> a costs 0 when b >= a and
+    L d(b, a) otherwise; it meets every Lipschitz and order row to
+    rounding. Used to turn arbitrary random values into admissible test
+    maps. A negative cost raises StructureError.
     """
-    from scipy.optimize import linprog
-
     subset = list(subset)
-    k = len(subset)
-    raw = np.asarray(raw_values, dtype=float).reshape(k)
-    # Variables: the values x, then the deviations t. Rows: x_a - x_b <= L d
-    # on ordered pairs a != b, row-major; x_b - x_a <= 0 where a >= b; then
-    # +-(x_a - raw_a) <= t_a.
-    a, b = np.nonzero(~np.eye(k, dtype=bool))
+    raw = np.asarray(raw_values, dtype=float).reshape(len(subset))
     sub = np.ix_(subset, subset)
-    geq = domain.order_matrix[sub][a, b]
-    nlip, nord = len(a), int(geq.sum())
-    dev = np.arange(k)
-    a_ub = _sparse(
-        [
-            (np.arange(nlip)[:, None], np.stack([a, b], axis=1), [1.0, -1.0]),
-            (nlip + np.arange(nord)[:, None], np.stack([a[geq], b[geq]], axis=1), [-1.0, 1.0]),
-            (
-                nlip + nord + np.arange(2 * k).reshape(k, 2, 1),
-                np.stack([dev, k + dev], axis=1)[:, None, :],
-                [[1.0, -1.0], [-1.0, -1.0]],
-            ),
-        ],
-        (nlip + nord + 2 * k, 2 * k),
-    )
-    b_ub = np.concatenate(
-        [lipschitz * domain.dist[sub][a, b], np.zeros(nord), np.stack([raw, -raw], axis=1).ravel()]
-    )
-    c = np.concatenate([np.zeros(k), np.ones(k)])
-    res = linprog(
-        c=c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * k + [(0.0, None)] * k,
-        method="highs",
-    )
-    if res.status != 0:
-        raise ConvergenceError(f"monotone-Lipschitz fit failed: {res.message}")
-    # HiGHS meets the rows only to its absolute feasibility tolerance of
-    # 1e-7, above the 1e-9 that ExtensionProblem allows. Lowering each value
-    # to min_b x_b + D(b, a), over the shortest paths D of the rows' costs
-    # (edge b -> a costs 0 when b >= a, L d(b, a) otherwise), meets every
-    # row up to rounding and moves no value by more than the violations
-    # summed along one path.
     W = np.where(domain.order_matrix[sub], 0.0, lipschitz * domain.dist[sub])
-    return np.min(res.x[:k, None] + _shortest_paths(W, np.arange(k)), axis=0)
+    return np.min(raw[:, None] + _shortest_paths(W, np.arange(len(subset))), axis=0)

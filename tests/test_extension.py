@@ -302,8 +302,8 @@ def test_componentwise_requires_radial_domain():
 
 
 def _fitted_problem(rng, domain, target=ml.scalar_cone()):
-    """A problem on 2..n-1 anchors whose map has one LP-fitted scalar map
-    per coordinate. On L1 targets the map is divided by its own L1
+    """A problem on 2..n-1 anchors whose map has one fitted scalar map per
+    coordinate. On L1 targets the map is divided by its own L1
     Lipschitz constant on S (at most m), so that it is admissible and
     K_min > 1 still occurs."""
     size = int(rng.integers(2, domain.n))
@@ -323,8 +323,8 @@ def _fitted_problem(rng, domain, target=ml.scalar_cone()):
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=16138141)
 def test_fitted_map_meets_its_rows_to_rounding(seed):
-    # The LP meets its rows only to HiGHS's 1e-7; the fit must meet them
-    # to rounding, well inside ExtensionProblem's 1e-9.
+    # The fit must meet its rows to rounding, well inside
+    # ExtensionProblem's 1e-9.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))
     p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "linf"))
@@ -333,6 +333,40 @@ def test_fitted_map_meets_its_rows_to_rounding(seed):
     slack = 1e-12 * (1.0 + np.abs(p.f).max())
     assert (np.abs(diff).max(axis=2) <= p.domain.dist[sub] + slack).all()
     assert (diff[p.domain.order_matrix[sub]] >= -slack).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fitted_map_is_the_greatest_admissible_map_below_raw(seed):
+    # Lowering each value to min(raw_a, min_b U_b + W_ba) until nothing
+    # moves reaches the greatest map at or below raw that meets every row.
+    rng = np.random.default_rng(seed)
+    domain = random_metric_poset(rng, max_points=12)
+    size = int(rng.integers(1, min(domain.n, 6) + 1))
+    subset = sorted(int(s) for s in rng.choice(domain.n, size=size, replace=False))
+    raw = rng.normal(size=size) * 3.0
+    L = float(rng.uniform(0.2, 2.0))
+    fitted = extension.fit_monotone_lipschitz(domain, subset, raw, lipschitz=L)
+    sub = np.ix_(subset, subset)
+    W = np.where(domain.order_matrix[sub], 0.0, L * domain.dist[sub])
+    U = raw.copy()
+    while True:
+        nxt = np.minimum(raw, np.min(U[:, None] + W, axis=0))
+        if np.array_equal(nxt, U):
+            break
+        U = nxt
+    assert (fitted <= raw).all()
+    np.testing.assert_allclose(fitted, U, rtol=0.0, atol=1e-12 * (1.0 + np.abs(raw).max()))
+
+
+def test_fit_rejects_a_negative_cost():
+    # d(1, 2) = d(2, 1) = -1 is a negative cycle: the fixed point would
+    # fall for ever.
+    d = 1.0 - np.eye(3)
+    d[1, 2] = d[2, 1] = -1.0
+    domain = ml.FiniteMetricPoset(labels=("a", "b", "c"), dist=d, order=frozenset())
+    with pytest.raises(StructureError, match="nonnegative"):
+        extension.fit_monotone_lipschitz(domain, (0, 1, 2), [0.0, 1.0, 2.0])
 
 
 def _floyd_warshall(W):
@@ -529,24 +563,55 @@ def test_linf_lp_decouples_into_scalar_routes(seed):
     assert abs(k_lp - k_scalar) <= 1e-9 * k_scalar
 
 
+@pytest.mark.parametrize("norm", ["l1", "linf"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-@example(seed=6734745)  # the LP's K_min is 1 + 1 ulp, yet K = 1 fits
-def test_l1_lp_decides_at_its_least_K(seed):
+@example(seed=7)  # the LP's least K is 1 + 1 ulp, yet K = 1 fits
+def test_l1_lp_decides_at_its_least_K(norm, seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))
-    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, "l1"))
+    p = _fitted_problem(rng, random_metric_poset(rng, max_points=12), ml.orthant(m, norm))
     k_min = ml.estimate_e(p).K
-    above = ml.feasibility_at_K(p, k_min * (1.0 + 1e-6))
-    assert above.status == extension.FEASIBLE
-    assert ml.verify_extension(p, above.values, above.K).max() <= 1e-9
+    # K_min is exactly 1 iff K = 1 fits, so rounding cannot report 1 + 1 ulp
+    assert (k_min == 1.0) == (ml.feasibility_at_K(p, 1.0).status == extension.FEASIBLE)
+    for K in (k_min, k_min * (1.0 + 1e-6)):
+        at = ml.feasibility_at_K(p, K)
+        assert at.status == extension.FEASIBLE
+        assert ml.verify_extension(p, at.values, K).max() <= 1e-9
     if k_min > 1.0:
         assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status == extension.INFEASIBLE
+    # the fixed-K LP oracle, which never sees K_min, agrees off its tolerance
+    for K in (2.0 * k_min, k_min * (1.0 - 1e-3)):
+        assert ml.feasibility_at_K(p, K).status == extension.lp_feasible_at_K(p, K)[0]
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_polyhedral_targets_decide_without_the_lp_oracles(norm, monkeypatch):
+    # x -> x_2 is monotone and 1-Lipschitz in every norm, and t -> t e2
+    # lifts the scalar witness extension, so K_min = sqrt(2.5).
+    def oracle(*args):
+        raise AssertionError("an LP oracle ran in production")
+
+    monkeypatch.setattr(extension, "lp_feasible_at_K", oracle)
+    monkeypatch.setattr(extension, "min_lipschitz_lp", oracle)
+    p = ml.ExtensionProblem(
+        domain=witness_poset(),
+        subset=(0, 1),
+        target=ml.orthant(2, norm),
+        f=[[0.0, math.sqrt(5)], [0.0, 0.0]],
+    )
+    est = ml.estimate_e(p)
+    assert est.conclusive and est.K == pytest.approx(SQRT25, rel=1e-9)
+    assert ml.feasibility_at_K(p, 1.0).status == extension.INFEASIBLE
+    at = ml.feasibility_at_K(p, 1.6)
+    assert at.status == extension.FEASIBLE
+    assert at.residuals.max() <= 1e-9
 
 
 def test_lp_does_not_report_feasible_below_its_least_K():
-    # HiGHS accepts these rows at K_min (1 - 1e-6), within its absolute 1e-7
-    # feasibility tolerance, with values whose residual is 9.1e-8.
+    # HiGHS's fixed-K LP accepts these rows at K_min (1 - 1e-6), within its
+    # absolute 1e-7 feasibility tolerance, with values whose residual is
+    # 9.1e-8; the min-K LP's bound K_min calls that K Infeasible.
     rng = np.random.default_rng(155)
     m = int(rng.integers(2, 4))
     dom = random_metric_poset(rng, max_points=14)
@@ -559,7 +624,7 @@ def test_lp_does_not_report_feasible_below_its_least_K():
     p = ml.ExtensionProblem(domain=dom, subset=subset, target=ml.orthant(m, "linf"), f=f)
     k_min = ml.min_lipschitz_lp(p)[0]
     assert k_min == pytest.approx(0.25, rel=1e-9)
-    assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status != extension.FEASIBLE
+    assert ml.feasibility_at_K(p, k_min * (1.0 - 1e-6)).status == extension.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ def test_scalar_commands_load_no_scipy():
         (["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1"], 1),
         (["extend", CHAIN_PROBLEM, "--mode", "componentwise"], 0),
         (["estimate-e", WITNESS_PROBLEM], 0),
+        (["estimate-e", WITNESS_PROBLEM, "--samples", "3", "--seed", "1"], 0),
     ]
     code = (
         "import contextlib, io\n"
