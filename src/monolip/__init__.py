@@ -35,7 +35,6 @@ from .obstruction import (
 from .poset import (
     FiniteMetricPoset,
     RadialityWitness,
-    bullet,
     chain_instance,
     check_radiality,
     grid_instance,
@@ -50,10 +49,6 @@ from .spaces import (
     HalfSpaceHn,
     HilbertRay,
     busemann_limit,
-    hilbert_busemann,
-    hn_busemann,
-    hn_distance,
-    hn_order,
     ray_order,
 )
 from .trees import RTree, random_tree, tripod

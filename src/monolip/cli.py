@@ -32,6 +32,7 @@ from .errors import (
     RadialityRequiredError,
     SchemaError,
     SizeCapError,
+    UnsupportedTargetError,
 )
 
 EXIT_OK = 0
@@ -354,25 +355,31 @@ def _cmd_estimate_e(args, report):
     report.add_input(args.problem)
     problem = files.load_problem(args.problem, tol=args.tol)
     if args.samples:
+        # f = sum_g u_g g/|g| over the k generators g of the target cone,
+        # each u_g order-preserving and (1/k)-Lipschitz: ordered points then
+        # differ by a conic combination, and |f(a) - f(b)| <= d(a, b). The
+        # orthant, however given, has the standard basis; {0} has none (f = 0).
+        target = problem.target
+        if target._kind == "orthant":
+            G = np.eye(target.dim)
+        elif target.is_trivial:
+            G = np.empty((0, target.dim))
+        elif target.generators is not None:
+            G = target.generators
+        else:
+            raise UnsupportedTargetError("estimate-e --samples needs a cone given by generators")
+        units = G / cones.norm_many(G, target.norm)[:, None]
         rng = np.random.default_rng(args.seed)
-        k, m = len(problem.subset), problem.target.dim
         scale = max(1.0, float(np.max(problem.domain.dist)))
         best, conclusive = 1.0, True
         for _ in range(args.samples):
-            raw = rng.normal(scale=scale, size=(k, m))
-            f = np.column_stack(
-                [
-                    extension.fit_monotone_lipschitz(
-                        problem.domain, problem.subset, raw[:, c], lipschitz=1.0 / m
-                    )
-                    for c in range(m)
-                ]
-            )
+            u = rng.normal(scale=scale, size=(len(problem.subset), len(G)))
+            for g in range(len(G)):
+                u[:, g] = extension.fit_monotone_lipschitz(
+                    problem.domain, problem.subset, u[:, g], lipschitz=1.0 / len(G)
+                )
             sampled = extension.ExtensionProblem(
-                domain=problem.domain,
-                subset=problem.subset,
-                target=problem.target,
-                f=f,
+                domain=problem.domain, subset=problem.subset, target=target, f=u @ units
             )
             est = extension.estimate_e(sampled, max_iter=args.max_iter)
             best = max(best, est.K)
@@ -435,7 +442,7 @@ def _cmd_gen(args, report):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9)
+    common.add_argument("--tol", type=float, default=cones.DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("human", "machine"), default="human")
     common.add_argument(

@@ -24,6 +24,8 @@ from .errors import NoDirectionError, NumericInstabilityError, StructureError
 
 NORMS = ("l1", "l2", "linf")
 
+#: Default absolute tolerance of the order and metric checks; the other
+#: modules import it from here.
 DEFAULT_TOL = 1e-9
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones, poset as poset_mod
+from .cones import DEFAULT_TOL
 from .errors import (
     ConvergenceError,
     RadialityRequiredError,
@@ -30,7 +31,6 @@ from .errors import (
     UnsupportedTargetError,
 )
 
-DEFAULT_TOL = 1e-9
 MAX_ROUNDS = 100
 BRACKET_TOL = 1e-4
 #: HiGHS's feasibility tolerance, read as relative: the LP rounds call K

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones
+from .cones import DEFAULT_TOL
 from .errors import SizeCapError, StructureError
-
-DEFAULT_TOL = 1e-9
 
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
@@ -121,10 +120,6 @@ def _frozen(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def bullet(poset, x, y):
-    return poset.bullet(x, y)
 
 
 def _min_plus(A, B):
@@ -253,6 +248,10 @@ def validate(poset, tol=DEFAULT_TOL):
     return ValidationReport(tuple(out))
 
 
+#: Positions in the triple (x, y, z) of the pair whose distance is rhs.
+_ANCHOR_SLOTS = {"RD1": (0, 1), "RD2": (1, 2)}
+
+
 @dataclass(frozen=True)
 class RadialityWitness:
     """A triple violating one of the radiality inequalities.
@@ -269,6 +268,19 @@ class RadialityWitness:
     @property
     def ratio(self):
         return self.rhs / self.lhs
+
+    @property
+    def anchor_slots(self):
+        """Positions in ``triple`` of the pair (hi, lo) with rhs = d(hi, lo)."""
+        if self.kind not in _ANCHOR_SLOTS:
+            raise StructureError(f"unknown witness kind {self.kind!r}")
+        return _ANCHOR_SLOTS[self.kind]
+
+    @property
+    def anchors(self):
+        """The pair (hi, lo) as point indices: (x, y) for RD1, (y, z) for RD2."""
+        i, j = self.anchor_slots
+        return self.triple[i], self.triple[j]
 
 
 def _check_cap(n, triple_cap):
@@ -315,8 +327,9 @@ def _witness_blocks(poset, tol, triple_cap):
 
 
 def _witness(d, kind, x, y, z):
-    rhs = d[x, y] if kind == "RD1" else d[y, z]
-    return RadialityWitness(kind, (x, y, z), float(d[x, z]), float(rhs))
+    i, j = _ANCHOR_SLOTS[kind]
+    triple = (x, y, z)
+    return RadialityWitness(kind, triple, float(d[x, z]), float(d[triple[i], triple[j]]))
 
 
 def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
@@ -416,8 +429,9 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
         k, x, _ = np.unravel_index(np.argmax(ratios), ratios.shape)
         kind, x = ("RD1", "RD2")[k], int(x)
         y, z = np.nonzero(_witness_mask(d, g, strict, kind, slice(x, x + 1), tol)[0])
-        rhs = d[x, y] if kind == "RD1" else d[y, z]
-        i = int(np.argmax(rhs / d[x, z] == best))
+        a, b = _ANCHOR_SLOTS[kind]
+        triple = (x, y, z)
+        i = int(np.argmax(d[triple[a], triple[b]] / d[x, z] == best))
     return _witness(d, kind, x, int(y[i]), int(z[i]))
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
+from .cones import DEFAULT_TOL
 from .errors import HypothesisError, NumericInstabilityError, StructureError
-
-DEFAULT_TOL = 1e-9
 
 DEFAULT_T_SCHEDULE = tuple(10.0**k for k in range(1, 7))
 
@@ -106,10 +105,6 @@ def hilbert_ray_from_cone(cone):
     return HilbertRay(dim=cone.dim, e=e, cone=cone)
 
 
-def hilbert_busemann(ray, a):
-    return ray.busemann(a)
-
-
 @dataclass(frozen=True)
 class HalfSpaceHn:
     """Hyperbolic n-space in the upper half-space model.
@@ -175,18 +170,6 @@ class HalfSpaceHn:
             return None
         t = math.log(float(a[-1]))
         return t if t >= -tol else None
-
-
-def hn_distance(space, a, b):
-    return space.distance(a, b)
-
-
-def hn_busemann(space, a):
-    return space.busemann(a)
-
-
-def hn_order(space, a, b, tol=DEFAULT_TOL):
-    return space.order(a, b, tol)
 
 
 def ray_order(space, a, b, tol=DEFAULT_TOL):

@@ -21,9 +21,8 @@ from collections import deque
 
 import numpy as np
 
+from .cones import DEFAULT_TOL
 from .errors import StructureError
-
-DEFAULT_TOL = 1e-9
 
 _POINT_EQ_TOL = 1e-12
 

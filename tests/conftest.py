@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from monolip import ConeOrder, FiniteMetricPoset, chain_instance, is_pointed
 from monolip import check_radiality, poset_from_points, orthant
+
+# Each failing example prints a blob that @reproduce_failure replays on any
+# checkout; counts and seeds stay as in Hypothesis's default profile.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture

@@ -207,6 +207,90 @@ def test_cli_estimate_e_with_samples(capsys):
     assert "lower bound" in out
 
 
+def _sampled_problem(tmp_path, cone, seed=3):
+    """8 planar points ordered by ``cone``, five of them anchored at 0."""
+    rng = np.random.default_rng(seed)
+    p = ml.poset_from_points(np.round(rng.uniform(-3.0, 3.0, size=(8, 2)), 3), cone)
+    doc = {
+        "poset": files.poset_to_dict(p),
+        "subset": [0, 1, 2, 3, 4],
+        "target": {"kind": "cone", "cone": files.cone_to_dict(cone)},
+        "f": [[0.0] * cone.dim] * 5,
+    }
+    path = tmp_path / "problem.json"
+    files.dump(doc, path)
+    return str(path)
+
+
+def test_cli_estimate_e_samples_on_a_generated_cone(tmp_path, capsys):
+    # fitting each coordinate on its own made maps that this cone does not
+    # order, and the command exited 2 on every seed
+    path = _sampled_problem(tmp_path, ml.ConeOrder(dim=2, generators=[[1.0, 0.3], [0.3, 1.0]]))
+    for seed in range(1, 11):
+        assert cli.dispatch(["estimate-e", path, "--samples", "20", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [ml.orthant(2, "l2"), ml.orthant(2, "l1"), ml.orthant(2, "linf"),
+     ml.ConeOrder(dim=2, halfspaces=np.eye(2))],
+)
+def test_cli_estimate_e_samples_on_the_orthant_fit_each_coordinate(tmp_path, monkeypatch, cone):
+    # on the orthant, given by generators or by halfspaces, the per-generator
+    # draw is the per-coordinate draw
+    path = _sampled_problem(tmp_path, cone)
+    problem = files.load_problem(path)
+    drawn = _record_draws(monkeypatch)
+    assert cli.dispatch(["estimate-e", path, "--samples", "4", "--seed", "7"]) == 0
+    rng = np.random.default_rng(7)
+    scale = max(1.0, float(np.max(problem.domain.dist)))
+    for f in drawn:
+        raw = rng.normal(scale=scale, size=(5, 2))
+        fits = [
+            ml.extension.fit_monotone_lipschitz(problem.domain, problem.subset, raw[:, c], 0.5)
+            for c in range(2)
+        ]
+        np.testing.assert_array_equal(f, np.column_stack(fits))
+    assert len(drawn) == 4
+
+
+def _record_draws(monkeypatch):
+    """The maps that ``estimate-e --samples`` hands to estimate_e."""
+    drawn = []
+    estimate_e = ml.extension.estimate_e
+
+    def recording(sampled, **kwargs):
+        drawn.append(sampled.f)
+        return estimate_e(sampled, **kwargs)
+
+    monkeypatch.setattr(ml.extension, "estimate_e", recording)
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [ml.trivial_cone(2), ml.ConeOrder(dim=2, halfspaces=np.vstack([np.eye(2), -np.eye(2)]))],
+)
+def test_cli_estimate_e_samples_on_the_trivial_cone_draw_zero(tmp_path, monkeypatch, capsys, cone):
+    # {0} has no generators, so the only draw is the zero map
+    path = _sampled_problem(tmp_path, cone)
+    drawn = _record_draws(monkeypatch)
+    assert cli.dispatch(["estimate-e", path, "--samples", "3"]) == 0
+    assert len(drawn) == 3
+    for f in drawn:
+        np.testing.assert_array_equal(f, np.zeros((5, 2)))
+    capsys.readouterr()
+
+
+def test_cli_estimate_e_samples_needs_generators(tmp_path, capsys):
+    # a pointed cone other than the orthant, given only by its facet normals
+    cone = ml.ConeOrder(dim=2, halfspaces=[[1.0, -0.3], [-0.3, 1.0]])
+    path = _sampled_problem(tmp_path, cone)
+    assert cli.dispatch(["estimate-e", path, "--samples", "3"]) == 2
+    assert "generators" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # size caps from the environment
 # ---------------------------------------------------------------------------

@@ -77,17 +77,17 @@ def test_structural_errors_raise():
 
 def test_bullet_reflexive_pair_is_false():
     p = witness_poset()
-    assert not ml.bullet(p, 0, 0)
+    assert not p.bullet(0, 0)
 
 
 def test_bullet_incomparable_both_ways():
     p = witness_poset()  # (1,-2) and (0,0) are incomparable coordinatewise
-    assert ml.bullet(p, 0, 1) and ml.bullet(p, 1, 0)
+    assert p.bullet(0, 1) and p.bullet(1, 0)
 
 
 def test_bullet_strict_dominance():
     p = witness_poset()  # (0,0) > (0,-1)
-    assert ml.bullet(p, 1, 2) and not ml.bullet(p, 2, 1)
+    assert p.bullet(1, 2) and not p.bullet(2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ def vertical_ray():
 
 def test_hilbert_busemann_closed_form():
     r = vertical_ray()
-    assert ml.hilbert_busemann(r, [3.0, 4.0]) == pytest.approx(-4.0, abs=1e-15)
-    assert ml.hilbert_busemann(r, [7.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert r.busemann([3.0, 4.0]) == pytest.approx(-4.0, abs=1e-15)
+    assert r.busemann([7.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hilbert_limit_basepoint_zero_at_every_horizon():
@@ -57,7 +57,7 @@ def test_hilbert_limit_agreement_random(rng):
         a = rng.normal(size=3)
         a *= rng.uniform(0, 10) / max(np.linalg.norm(a), 1e-9)
         lim = ml.busemann_limit(ray, a)
-        closed = ml.hilbert_busemann(ray, a)
+        closed = ray.busemann(a)
         assert abs(lim.value - closed) <= 1e-4
         # error bound 10 * (1 + |a|^2) / T at each horizon
         for t, p in zip(spaces.DEFAULT_T_SCHEDULE, lim.partials):
@@ -76,9 +76,9 @@ def test_hilbert_ray_requires_monotone_direction():
 
 def test_hn_distance_examples():
     h = ml.HalfSpaceHn(2)
-    assert ml.hn_distance(h, [0.0, 1.0], [0.0, math.e]) == pytest.approx(1.0, abs=1e-12)
-    assert ml.hn_distance(h, [0.3, 2.0], [0.3, 2.0]) == 0.0
-    assert ml.hn_distance(h, [-1.0, 1.0], [1.0, 1.0]) == pytest.approx(
+    assert h.distance([0.0, 1.0], [0.0, math.e]) == pytest.approx(1.0, abs=1e-12)
+    assert h.distance([0.3, 2.0], [0.3, 2.0]) == 0.0
+    assert h.distance([-1.0, 1.0], [1.0, 1.0]) == pytest.approx(
         math.acosh(3.0), abs=1e-12
     )
 
@@ -89,28 +89,28 @@ def test_hn_distance_triangle_inequality(rng):
         pts = np.column_stack(
             [rng.normal(size=(3, 2)) * 2, rng.uniform(0.1, 10.0, size=3)]
         )
-        d = lambda i, j: ml.hn_distance(h, pts[i], pts[j])
+        d = lambda i, j: h.distance(pts[i], pts[j])
         assert d(0, 2) <= d(0, 1) + d(1, 2) + 1e-9
 
 
 def test_hn_rejects_nonpositive_height():
     h = ml.HalfSpaceHn(2)
     with pytest.raises(StructureError):
-        ml.hn_distance(h, [0.0, 0.0], [0.0, 1.0])
+        h.distance([0.0, 0.0], [0.0, 1.0])
 
 
 def test_hn_busemann_examples():
     h = ml.HalfSpaceHn(3)
-    assert ml.hn_busemann(h, [0.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert h.busemann([0.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
     for t in (0.0, 1.5, 7.0):
-        assert ml.hn_busemann(h, h.ray_point(t)) == pytest.approx(-t, abs=1e-12)
+        assert h.busemann(h.ray_point(t)) == pytest.approx(-t, abs=1e-12)
 
 
 def test_hn_order_examples():
     h = ml.HalfSpaceHn(2)
-    assert ml.hn_order(h, [0.0, 2.0], [0.0, 1.0])
-    assert not ml.hn_order(h, [1.0, 2.0], [0.0, 1.0])
-    assert not ml.hn_order(h, [0.0, 1.0], [0.0, 2.0])
+    assert h.order([0.0, 2.0], [0.0, 1.0])
+    assert not h.order([1.0, 2.0], [0.0, 1.0])
+    assert not h.order([0.0, 1.0], [0.0, 2.0])
 
 
 def test_hn_limit_agreement(rng):
@@ -119,7 +119,7 @@ def test_hn_limit_agreement(rng):
     for _ in range(50):
         a = np.append(rng.normal(size=2) * 3, rng.uniform(0.1, 10.0))
         lim = ml.busemann_limit(h, a, t_schedule=schedule)
-        assert abs(lim.value - ml.hn_busemann(h, a)) <= 1e-4
+        assert abs(lim.value - h.busemann(a)) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
