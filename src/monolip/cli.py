@@ -23,8 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, cones, extension, files, obstruction, poset as poset_mod
-from . import spaces, trees
+from . import __version__, cones, files, poset as poset_mod
 from .errors import (
     ConvergenceError,
     MonolipError,
@@ -54,9 +53,12 @@ CAPS = (
 
 def _sha256(path):
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}")
     return h.hexdigest()
 
 
@@ -132,6 +134,8 @@ def _vector(text):
 
 def _target_from_args(args, report):
     """Build the target space selected by --space and its companion flags."""
+    from . import spaces
+
     if args.space == "hilbert":
         if args.e is None:
             raise SchemaError("--space hilbert requires --e")
@@ -250,6 +254,8 @@ def _result_doc(res):
 
 
 def _cmd_extend(args, report):
+    from . import extension
+
     report.add_input(args.problem)
     problem = files.load_problem(args.problem, tol=args.tol)
     if args.mode == "interpolate":
@@ -286,7 +292,8 @@ def _cmd_extend(args, report):
     elif args.mode == "feasible":
         if args.K is None:
             raise SchemaError("--mode feasible requires --K")
-        res = extension.feasibility_at_K(problem, args.K, max_iter=args.max_iter)
+        max_iter = extension.MAX_ROUNDS if args.max_iter is None else args.max_iter
+        res = extension.feasibility_at_K(problem, args.K, max_iter=max_iter)
     else:
         raise SchemaError(f"unknown mode {args.mode!r}")
     report.outcome = _result_doc(res)
@@ -301,6 +308,8 @@ def _cmd_extend(args, report):
 
 
 def _cmd_busemann(args, report):
+    from . import spaces
+
     target = _target_from_args(args, report)
     if args.point is None:
         raise SchemaError("busemann requires --point")
@@ -327,6 +336,8 @@ def _cmd_busemann(args, report):
 
 
 def _cmd_certify(args, report):
+    from . import obstruction
+
     report.add_input(args.poset)
     poset = files.load_poset(args.poset)
     target = _target_from_args(args, report)
@@ -352,6 +363,9 @@ def _cmd_certify(args, report):
 
 
 def _cmd_estimate_e(args, report):
+    from . import extension
+
+    max_iter = extension.MAX_ROUNDS if args.max_iter is None else args.max_iter
     report.add_input(args.problem)
     problem = files.load_problem(args.problem, tol=args.tol)
     if args.samples:
@@ -381,7 +395,7 @@ def _cmd_estimate_e(args, report):
             sampled = extension.ExtensionProblem(
                 domain=problem.domain, subset=problem.subset, target=target, f=u @ units
             )
-            est = extension.estimate_e(sampled, max_iter=args.max_iter)
+            est = extension.estimate_e(sampled, max_iter=max_iter)
             best = max(best, est.K)
             conclusive = conclusive and est.conclusive
         report.outcome = {
@@ -394,7 +408,7 @@ def _cmd_estimate_e(args, report):
             f"{_fmt(best)}"
         )
         return EXIT_OK if conclusive else EXIT_NUMERIC
-    est = extension.estimate_e(problem, max_iter=args.max_iter)
+    est = extension.estimate_e(problem, max_iter=max_iter)
     report.outcome = {
         "K": est.K,
         "lo": est.lo,
@@ -421,6 +435,8 @@ def _cmd_gen(args, report):
         report.say(f"wrote {poset.n}-point grid poset to {args.out}")
         return EXIT_OK
     if args.kind == "tree":
+        from . import trees
+
         rng = np.random.default_rng(args.seed)
         tree = trees.random_tree(args.vertices, rng)
         doc = files.tree_to_dict(tree)
@@ -448,9 +464,10 @@ def _build_parser():
     common.add_argument(
         "--max-iter",
         type=int,
-        default=extension.MAX_ROUNDS,
+        default=None,
         dest="max_iter",
-        help="cap on the cutting-plane rounds for L2 vector targets",
+        help="cap on the cutting-plane rounds for L2 vector targets "
+        "(default: extension.MAX_ROUNDS)",
     )
 
     parser = argparse.ArgumentParser(

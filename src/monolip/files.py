@@ -22,7 +22,7 @@ import os
 
 import numpy as np
 
-from . import cones, extension, poset as poset_mod, trees
+from . import cones, poset as poset_mod
 from .errors import SchemaError, StructureError
 
 
@@ -30,13 +30,15 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON", context=str(exc))
 
 
 def _require(doc, key, kind, where):
+    if not isinstance(doc, dict):
+        raise SchemaError("document must be a JSON object", context=where)
     if key not in doc:
         raise SchemaError(f"missing field {key!r}", context=where)
     value = doc[key]
@@ -119,6 +121,8 @@ def load_cone(path):
 
 
 def tree_from_dict(doc, where="tree"):
+    from . import trees
+
     vertices = _require(doc, "vertices", list, where)
     edges = _require(doc, "edges", list, where)
     root = _require(doc, "root", None, where)
@@ -148,6 +152,8 @@ def load_tree(path):
 
 
 def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
+    from . import extension
+
     raw_poset = _require(doc, "poset", None, where)
     if isinstance(raw_poset, str):
         domain = load_poset(os.path.join(base_dir, raw_poset))
@@ -173,7 +179,11 @@ def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
             raise SchemaError("target.cone must be a path or inline object", where)
     else:
         raise SchemaError(f"unknown target kind {kind!r}", context=where)
-    f = np.asarray(_require(doc, "f", list, where), dtype=float)
+    raw_f = _require(doc, "f", list, where)
+    try:
+        f = np.asarray(raw_f, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("f must be a numeric matrix", context=str(exc))
     if f.ndim == 1:
         f = f[:, None]
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cones, extension, poset as poset_mod
+from . import cones, poset as poset_mod
 from .errors import HypothesisError, StructureError
 
 MIN_BOUND_MARGIN = 1e-12
@@ -123,6 +123,8 @@ def certify_obstruction(poset, witness, target):
 
 def induced_scalar_problem(poset, witness):
     """The three-point scalar problem whose modulus equals the bound."""
+    from . import extension
+
     sub = _subposet(poset, list(witness.triple))
     hi, lo = witness.anchors
     f = np.array([[float(poset.dist[hi, lo])], [0.0]])

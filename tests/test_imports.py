@@ -1,8 +1,13 @@
-"""Start-up cost: scipy is loaded only by the routes that use it."""
+"""Start-up cost: ``import monolip`` loads no submodule, each command
+loads only the modules it runs, and scipy is loaded only by the routes
+that use it."""
 
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
@@ -91,3 +96,108 @@ def test_halfspace_cone_membership_skips_scipy_optimize():
     member, loaded = run_fresh(code)
     assert member == "[True, False]"
     assert "scipy.optimize" not in loaded.split()
+
+
+# the public names of ``monolip`` by the submodule that defines each, pinned
+# here so that the lazy namespace keeps every one
+EXPORTS = {
+    "cones": [
+        "ConeOrder", "MoreauSplit", "contains", "dominates", "dual_contains", "is_pointed",
+        "monotone_direction", "moreau_split", "orthant", "project_cone", "scalar_cone",
+        "trivial_cone",
+    ],
+    "extension": [
+        "EstimateResult", "ExtensionProblem", "ExtensionResult", "componentwise_extend",
+        "estimate_e", "feasibility_at_K", "min_lipschitz_lp", "scalar_extend", "line_extend",
+        "verify_extension",
+    ],
+    "obstruction": [
+        "ObstructionCertificate", "build_test_map", "certify_obstruction", "e2_lower_bound",
+    ],
+    "poset": [
+        "FiniteMetricPoset", "RadialityWitness", "chain_instance", "check_radiality",
+        "grid_instance", "is_radially_convex", "iter_radiality_witnesses",
+        "poset_from_points", "radiality_report", "validate",
+    ],
+    "spaces": ["BusemannValue", "HalfSpaceHn", "HilbertRay", "busemann_limit", "ray_order"],
+    "trees": ["RTree", "random_tree", "tripod"],
+}
+SUBMODULES = sorted(EXPORTS) + ["errors"]
+
+
+def test_import_monolip_loads_no_submodule_and_no_numpy():
+    (loaded,) = run_fresh(
+        "import sys\nimport monolip\n"
+        "print(' '.join(m for m in sys.modules if m.startswith(('monolip.', 'numpy'))))\n"
+    )
+    assert loaded == ""
+
+
+def test_every_export_resolves_to_its_modules_object():
+    code = (
+        "import importlib, json\n"
+        "import monolip\n"
+        f"exports, submodules = {EXPORTS!r}, {SUBMODULES!r}\n"
+        "bad = [m for m in submodules\n"
+        "       if getattr(monolip, m) is not importlib.import_module('monolip.' + m)]\n"
+        "for module, names in exports.items():\n"
+        "    own = importlib.import_module('monolip.' + module)\n"
+        "    for name in names:\n"
+        "        scope = {}\n"
+        "        exec(f'from monolip import {name} as got', scope)\n"
+        "        if not (scope['got'] is getattr(monolip, name) is getattr(own, name)):\n"
+        "            bad.append(name)\n"
+        "listed = set(dir(monolip))\n"
+        "unlisted = [n for names in exports.values() for n in names if n not in listed]\n"
+        "unlisted += [m for m in submodules if m not in listed]\n"
+        "try:\n"
+        "    monolip.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "star = {}\n"
+        "exec('from monolip import *', star)\n"
+        "print(json.dumps([bad, unlisted, unknown, sorted(set(star) - {'__builtins__'})]))\n"
+    )
+    (line,) = run_fresh(code)
+    bad, unlisted, unknown, star = json.loads(line)
+    assert bad == []
+    assert unlisted == []
+    assert star == sorted(SUBMODULES + [n for names in EXPORTS.values() for n in names])
+    assert unknown == "module 'monolip' has no attribute 'no_such_name'"
+
+
+BASE = ["cli", "cones", "errors", "files", "poset"]
+
+# each command with its exit code and the exact set of monolip modules it loads
+COMMAND_MODULES = {
+    "validate": (["validate", WITNESS], 0, BASE),
+    "radial": (["radial", WITNESS], 1, BASE),
+    "certify": (
+        ["certify", WITNESS, "--space", "hilbert", "--e", "1,1"], 1,
+        BASE + ["obstruction", "spaces"],
+    ),
+    "extend-scalar": (["extend", WITNESS_PROBLEM, "--mode", "scalar"], 1, BASE + ["extension"]),
+    # takes its round cap from --max-iter's default
+    "extend-feasible": (
+        ["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1"], 1, BASE + ["extension"],
+    ),
+    "estimate-e": (["estimate-e", WITNESS_PROBLEM], 0, BASE + ["extension"]),
+}
+
+
+@pytest.mark.parametrize("argv, want_code, want_modules", COMMAND_MODULES.values(),
+                         ids=COMMAND_MODULES.keys())
+def test_command_loads_only_the_modules_it_runs(argv, want_code, want_modules):
+    code = (
+        "import contextlib, io, sys\n"
+        "from monolip import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.dispatch({argv + ['--format', 'machine']!r})\n"
+        "print(code)\n"
+        "print(' '.join(sorted(m[len('monolip.'):] for m in sys.modules\n"
+        "                      if m.startswith('monolip.'))))\n"
+    )
+    exit_code, loaded = run_fresh(code)
+    assert int(exit_code) == want_code
+    assert loaded.split() == sorted(want_modules)

@@ -1,10 +1,13 @@
 """Construction and file loading refuse non-finite numbers and non-integer
-indices instead of computing with them. The classes that hold arrays
-compare and hash by identity."""
+indices instead of computing with them, and the CLI reports an unreadable
+or malformed file in one error line. The classes that hold arrays compare
+and hash by identity."""
 
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from monolip import cli, files
 from monolip.errors import SchemaError, StructureError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-INSTANCES = os.path.join(HERE, os.pardir, "instances")
+ROOT = os.path.join(HERE, os.pardir)
+INSTANCES = os.path.join(ROOT, "instances")
 WITNESS_PROBLEM = os.path.join(INSTANCES, "witness_scalar_problem.json")
 
 
@@ -65,16 +69,53 @@ def test_cli_refuses_non_finite_inputs(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def _problem_doc(f):
+    return {
+        "poset": files.poset_to_dict(_witness_poset()),
+        "subset": [0, 1],
+        "target": {"kind": "scalar"},
+        "f": f,
+    }
+
+
+def _file(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+# unreadable files and malformed documents: (command, file maker)
+BAD_FILES = {
+    "missing": ("validate", lambda tmp: str(tmp / "missing.json")),
+    "directory": ("validate", str),  # the temporary directory itself
+    "not-utf8": ("validate", lambda tmp: _file(tmp, "p.json", b'\xff\xfe{"labels": []}')),
+    "not-an-object": ("validate", lambda tmp: _file(tmp, "p.json", b"5")),
+    "ragged-f": ("extend", lambda tmp: _write(tmp, "f.json", _problem_doc([[1], [2, 3]]))),
+    "non-numeric-f": ("extend", lambda tmp: _write(tmp, "f.json", _problem_doc([["x"], [2]]))),
+}
+
+
+@pytest.mark.parametrize("command, make", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_cli_reports_a_bad_file_in_one_error_line(tmp_path, command, make):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "monolip.cli", command, make(tmp_path)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "subset, bad", [([0, 1.7], "1.7"), ([0, True], "True"), (["0", "1"], "'0'")]
 )
 def test_problem_subset_needs_integer_indices(subset, bad):
-    doc = {
-        "poset": files.poset_to_dict(_witness_poset()),
-        "subset": subset,
-        "target": {"kind": "scalar"},
-        "f": [[1.0], [0.0]],
-    }
+    doc = dict(_problem_doc([[1.0], [0.0]]), subset=subset)
     with pytest.raises(SchemaError, match=f"subset entries must be integers, got {bad}"):
         files.problem_from_dict(doc)
 
