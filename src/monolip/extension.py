@@ -229,7 +229,7 @@ def _shortest_paths(W, sources):
     D[np.arange(len(sources)), sources] = 0.0
     front = np.arange(W.shape[0])
     while front.size:
-        step = poset_mod._min_plus(D[:, front], W[front])
+        step = poset_mod._min_plus(D[:, front].T, W[front])
         fell = step < D
         np.minimum(D, step, out=D)
         front = np.flatnonzero(fell.any(axis=0))

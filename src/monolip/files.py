@@ -120,6 +120,11 @@ def load_cone(path):
     return cone_from_dict(_load_json(path), where=path)
 
 
+def _is_id(v):
+    """A vertex id of a tree file: a JSON string or integer."""
+    return isinstance(v, (str, int)) and not isinstance(v, bool)
+
+
 def tree_from_dict(doc, where="tree"):
     from . import trees
 
@@ -127,11 +132,19 @@ def tree_from_dict(doc, where="tree"):
     edges = _require(doc, "edges", list, where)
     root = _require(doc, "root", None, where)
     end = _require(doc, "end", None, where)
+    for v in [*vertices, root, end]:
+        if not _is_id(v):
+            raise SchemaError(f"vertex ids must be strings or integers, got {v!r}", where)
     parsed = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 3:
             raise SchemaError(f"edges must be [u, v, length] triples, got {e!r}", where)
-        parsed.append((e[0], e[1], e[2]))
+        u, v, length = e
+        if not (_is_id(u) and _is_id(v)):
+            raise SchemaError(f"edge ends must be vertex ids, got {e!r}", where)
+        if isinstance(length, bool) or not isinstance(length, (int, float)):
+            raise SchemaError(f"edge lengths must be numbers, got {e!r}", where)
+        parsed.append((u, v, length))
     try:
         return trees.RTree(vertices=vertices, edges=parsed, root=root, end=end)
     except StructureError as exc:

@@ -23,11 +23,10 @@ from .errors import SizeCapError, StructureError
 #: Refuse triple enumerations beyond this many triples unless overridden.
 DEFAULT_TRIPLE_CAP = 10**6
 
-#: Largest block of the min-plus product (the triangle filter of
-#: ``validate`` and the shortest paths of the scalar route), of the
-#: radiality witness enumeration and of the row gathers of
-#: ``max_ratio_witness``, in entries. Larger blocks save little time and
-#: leave larger temporaries behind in the heap.
+#: Largest block, in entries, of the k-major min-plus sums (``validate``'s
+#: triangle filter, the scalar shortest paths), of the radiality witness
+#: enumeration and of ``max_ratio_witness``'s row gathers. Larger blocks
+#: save little time and leave larger temporaries.
 SCAN_BLOCK = 1 << 16
 
 
@@ -122,28 +121,29 @@ def _frozen(*arrays):
     return arrays
 
 
-def _min_plus(A, B):
-    """The min-plus product ``out[r, v] = min_u A[r, u] + B[u, v]``.
-
-    Each block of sums holds at most SCAN_BLOCK entries: whole rows of
-    ``out`` while one row fits, else one row at a time over slices of u,
-    merged by ``np.minimum``. A minimum is exact, so the blocks change no
-    bit of the result.
+def _min_plus(At, B):
+    """The min-plus product ``out[r, v] = min_u At[u, r] + B[u, v]``, left
+    operand transposed, in k-major C-order blocks [u, r, v] whatever At's
+    strides, of at most SCAN_BLOCK sums reduced along axis 0, the axis
+    numpy reduces fastest: whole rows of ``out`` while one row fits, else
+    one row at a time over slices of u, merged by ``np.minimum``. A
+    minimum is exact, so blocks change no bit of the result.
     """
-    k, m = A.shape
+    m, k = At.shape
     n = B.shape[1]
     out = np.empty((k, n))
     part = min(m, max(1, SCAN_BLOCK // max(n, 1)))
     if part == m:
         rows = max(1, SCAN_BLOCK // max(m * n, 1))
         for s in range(0, k, rows):
-            np.min(A[s : s + rows, :, None] + B[None], axis=1, out=out[s : s + rows])
+            sums = np.add(At[:, s : s + rows, None], B[:, None], order="C")
+            np.min(sums, axis=0, out=out[s : s + rows])
         return out
     rest = np.empty(n)
     for r in range(k):
-        np.min(A[r, :part, None] + B[:part], axis=0, out=out[r])
+        np.min(At[:part, r, None] + B[:part], axis=0, out=out[r])
         for t in range(part, m, part):
-            np.min(A[r, t : t + part, None] + B[t : t + part], axis=0, out=rest)
+            np.min(At[t : t + part, r, None] + B[t : t + part], axis=0, out=rest)
             np.minimum(out[r], rest, out=out[r])
     return out
 
@@ -167,19 +167,18 @@ class ValidationReport:
 def validate(poset, tol=DEFAULT_TOL):
     """Check every metric and partial-order axiom; report all violations.
 
-    The triangle inequality is checked by a min-plus row filter: it
-    computes the shortest two-step distance
-    ``short[i, j] = min_k d(i, k) + d(k, j)`` by the blocked min-plus
-    product and flags row i iff some ``d(i, j) > short[i, j] + tol``.
-    Because fl(s + tol) is monotone in s, that holds iff some k has
-    ``d(i, j) > (d(i, k) + d(k, j)) + tol``, the very test applied to each
-    triple, so the flagged rows are exactly the rows that hold a violation,
-    for any input matrix. When d equals its transpose exactly (as it does
-    for posets built from points), the test at (j, i, k) reads the same
-    values as the one at (i, j, k), so each unordered pair {i, j} is
-    computed once, by blocks of rows over the columns from the block's
-    first row on, and a hit flags both rows. Only flagged rows are
-    enumerated; violations come in (i, j, k) order. Memory stays O(n^2).
+    The triangle inequality is checked by a min-plus row filter: the
+    k-major product ``_min_plus(d.T, d)`` gives
+    ``short[i, j] = min_k d(i, k) + d(k, j)``, and row i is flagged iff some
+    ``d(i, j) > short[i, j] + tol``. As fl(s + tol) is monotone in s, that
+    holds iff some k has ``d(i, j) > (d(i, k) + d(k, j)) + tol``, the test
+    applied to each triple, so exactly the rows holding a violation are
+    flagged, for any input. When d equals its transpose exactly (as for
+    posets built from points), the test at (j, i, k) reads the values of
+    the one at (i, j, k), so each unordered pair {i, j} is computed once,
+    by blocks of rows over the columns from the block's first row on, and
+    a hit flags both rows. Only flagged rows are enumerated; violations
+    come in (i, j, k) order. Memory stays O(n^2).
     """
     d = poset.dist
     n = poset.n
@@ -205,24 +204,21 @@ def validate(poset, tol=DEFAULT_TOL):
             )
         if neg[p]:
             out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
-    # The row filter of the docstring, then the flagged rows in order. In a
-    # flagged row argwhere walks (j, k) in row-major order, so violations
-    # come in (i, j, k) order.
+    # The row filter of the docstring; argwhere walks a flagged row's (j, k)
+    # in row-major order.
     if np.array_equal(d, d.T):
-        # Blocks of rows of about SCAN_BLOCK triples, columns j >= the
-        # block's first row only, +inf elsewhere: fl(a + b) = fl(b + a),
-        # and a signed zero that array_equal lets differ changes no
-        # comparison.
+        # +inf left of the blocks; fl(a + b) = fl(b + a), and a signed zero
+        # that array_equal lets differ changes no comparison.
         short = np.full((n, n), np.inf)
         s = 0
         while s < n:
             e = s + max(1, SCAN_BLOCK // (n * (n - s)))
-            short[s:e, s:] = _min_plus(d[s:e], d[:, s:])
+            short[s:e, s:] = _min_plus(d[s:e].T, d[:, s:])
             s = e
         hit = d > short + tol
         flagged = hit.any(axis=1) | hit.any(axis=0)
     else:
-        flagged = np.any(d > _min_plus(d, d) + tol, axis=1)
+        flagged = np.any(d > _min_plus(d.T, d) + tol, axis=1)
     for i in np.flatnonzero(flagged).tolist():
         bad = d[i][:, None] > d[i][None, :] + d.T + tol
         for j, k in np.argwhere(bad).tolist():
@@ -373,19 +369,18 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
 
     Ties go to the first in ``iter_radiality_witnesses`` order. The exact
     best ratio at a pair (kind, x, z) is computed only when an upper bound
-    ``ub`` can reach the best ratio found so far. An RD1 rhs d(x, y) is at
-    most max_y d(x, y) and an RD2 rhs d(y, z) at most max_y d(y, z); for
-    d(x, z) > 0, fl(a / d(x, z)) is monotone in a, so that bound over
-    d(x, z) is never below the exact ratio. ``ub`` is +inf where d(x, z) is
-    not positive, and -inf for x = z, which admits no y. With U the largest
-    finite ``ub``, passes at thresholds U/2, U/4, ... compute every pair
-    whose ``ub`` reaches the threshold, and stop once the best ratio does;
-    a threshold at or below 1 becomes -inf, a last pass over every pair
-    left. Thresholds whose pass would compute nothing and not stop are
-    skipped. A pair never computed has ratio <= ub < best, so the first
-    (kind, x, z) of largest ratio is the one a full scan finds. Only the
-    first x whose row reaches it is enumerated, to find its first witness
-    of that ratio. The scan runs in O(n^2) memory.
+    ``ub`` can reach the best found so far: max_y d(x, y) / d(x, z) for
+    RD1, max_y d(y, z) / d(x, z) for RD2 (fl(a / b) is monotone in a for
+    b > 0), +inf where d(x, z) <= 0 and -inf for x = z, which admits no y.
+    With U the largest finite ``ub``, passes at thresholds U/2, U/4, ...
+    compute every pair whose ``ub`` reaches the threshold, and stop once
+    the best ratio does; a threshold at or below 1 becomes -inf, a last
+    pass over every pair left, and thresholds whose pass would compute
+    nothing and not stop are skipped. The passes keep two scalars: the
+    best ratio and the least flat (kind, x, z) index reaching it. A pair
+    never computed has ratio <= ub < best, so that index is the one a full
+    scan finds, and only its x is enumerated for the first witness of that
+    ratio. Memory stays O(n^2).
     """
     _check_cap(poset.n, triple_cap)
     d = poset.dist
@@ -405,28 +400,32 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
         np.divide(d.max(axis=0, initial=-np.inf), d, out=ub[1], where=positive)
     ub[:, np.arange(n), np.arange(n)] = -np.inf
     t = ub.max(where=np.isfinite(ub), initial=-np.inf) / 2
-    ratios = np.full((2, n, n), -np.inf)
+    best, first = -np.inf, ub.size
     with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
         while True:
             if not t > 1:
                 t = -np.inf  # the last pass: every pair left
-            band = ub >= t
-            ub[band] = np.nan  # no later threshold selects a computed pair
-            for k, (values, allowed) in enumerate(kinds):
-                x, z = np.nonzero(band[k])
+            band = np.flatnonzero(ub >= t)
+            np.put(ub, band, np.nan)  # no later threshold selects a computed pair
+            cut = np.searchsorted(band, n * n)
+            for k, flat in enumerate((band[:cut], band[cut:])):
+                x, z = np.divmod(flat - k * n * n, n)
+                values, allowed = kinds[k]
                 own, other = (x, z) if k == 0 else (z, x)
-                ratios[k, x, z] = _pair_ratios(values, allowed, own, other, d[x, z], tol)
-            best = ratios.max()
+                ratio = _pair_ratios(values, allowed, own, other, d[x, z], tol)
+                if ratio.size:
+                    j = np.argmax(ratio)
+                    if ratio[j] > best or (ratio[j] == best and flat[j] < first):
+                        best, first = ratio[j], flat[j]
             if best >= t or t == -np.inf:
                 break
-            # halve, skipping thresholds whose pass would compute nothing
             rest = np.fmax.reduce(ub, axis=None, initial=-np.inf)  # fmax skips NaN
             t /= 2
             while t > max(rest, best, 1.0):
                 t /= 2
         if not best > -np.inf:
             return None
-        k, x, _ = np.unravel_index(np.argmax(ratios), ratios.shape)
+        k, x, _ = np.unravel_index(first, ub.shape)
         kind, x = ("RD1", "RD2")[k], int(x)
         y, z = np.nonzero(_witness_mask(d, g, strict, kind, slice(x, x + 1), tol)[0])
         a, b = _ANCHOR_SLOTS[kind]
@@ -485,7 +484,7 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
     for c, col in enumerate(points.T):
         np.subtract(col[:, None], col[None, :], out=diff[:, :, c])
     dist = cones.norm_many(diff, cone.norm)
-    rows = diff.reshape(n * n, -1)
+    rows = diff.reshape(n * n, cone.dim)
     lengths = dist.reshape(-1) if cone.norm == "l2" else cones.norm_many(rows, "l2")
     geq = cones._contains_rows(cone, rows, lengths, tol).reshape(n, n)
     return FiniteMetricPoset(labels=labels, dist=dist, order=geq | np.eye(n, dtype=bool))

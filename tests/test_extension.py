@@ -449,9 +449,9 @@ def _counting_rounds(monkeypatch):
     seen = []
     min_plus = poset_mod._min_plus
 
-    def counted(A, B):
-        seen.append(A.shape[1])
-        return min_plus(A, B)
+    def counted(At, B):
+        seen.append(B.shape[0])  # the frontier: the rows W[front]
+        return min_plus(At, B)
 
     monkeypatch.setattr(poset_mod, "_min_plus", counted)
     return seen

@@ -95,20 +95,25 @@ BAD_FILES = {
 }
 
 
-@pytest.mark.parametrize("command, make", BAD_FILES.values(), ids=BAD_FILES.keys())
-def test_cli_reports_a_bad_file_in_one_error_line(tmp_path, command, make):
+def _assert_cli_error_line(*args):
+    """``python -m monolip.cli *args`` exits 2 with one ``error:`` line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "monolip.cli", command, make(tmp_path)],
+        [sys.executable, "-m", "monolip.cli", *args],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, make", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_cli_reports_a_bad_file_in_one_error_line(tmp_path, command, make):
+    _assert_cli_error_line(command, make(tmp_path))
 
 
 @pytest.mark.parametrize(
@@ -205,6 +210,33 @@ def test_cli_refuses_non_finite_edge_lengths(tmp_path, capsys, bad):
     code = cli.dispatch(["busemann", "--space", "tree", "--tree", path, "--point", "leaf"])
     assert code == 2
     assert "positive finite length" in capsys.readouterr().err
+
+
+def _tripod_with(**edits):
+    """The shipped tripod tree file with ``edits`` applied to its fields."""
+    with open(os.path.join(INSTANCES, "tripod_tree.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(edits)
+    return doc
+
+
+# an edge length that is no JSON number, and an unhashable vertex and root
+MALFORMED_TREES = {
+    "string-length": lambda: _tripod_with(
+        edges=[["root", "p", "x"], ["p", "end", 5.0], ["p", "leaf", 3.0]]
+    ),
+    "list-vertex-and-root": lambda: _tripod_with(
+        vertices=[["root"], "p", "end", "leaf"], root=["root"]
+    ),
+}
+
+
+@pytest.mark.parametrize("make", MALFORMED_TREES.values(), ids=MALFORMED_TREES.keys())
+def test_cli_reports_a_malformed_tree_file_in_one_error_line(tmp_path, make):
+    with pytest.raises(SchemaError):
+        files.tree_from_dict(make())
+    path = _write(tmp_path, "t.json", make())
+    _assert_cli_error_line("busemann", "--space", "tree", "--point", "leaf", "--tree", path)
 
 
 def _ray():

@@ -8,7 +8,9 @@ at every size drawn here. On an exactly symmetric matrix the filter
 computes each unordered pair once, so symmetric kinds, whose violations
 come in mirrored pairs, are drawn next to asymmetric ones. Fixed cases add
 n = 1, 2 and 3, one-row blocks (n > 256), ties at the tolerance and a
-matrix one ulp off symmetric.
+matrix one ulp off symmetric. SCAN_BLOCK budgets down to 1 force the
+one-row path, which splits u, at small n; ``_min_plus`` itself is compared
+with the naive min-plus product, block sizes included.
 
 ``max_ratio_witness`` computes exact ratios only for the (kind, x, z) pairs
 whose upper bound reaches the best ratio, in passes of halving thresholds.
@@ -32,18 +34,17 @@ from conftest import random_pointed_cone
 
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(20, 70)
-KINDS = st.sampled_from(
-    [
-        "integer-points",
-        "cone",
-        "independent-metric",
-        "asymmetric",
-        "non-metric",
-        "symmetric-non-metric",
-        "negative",
-        "relation",
-    ]
+KIND_NAMES = (
+    "integer-points",
+    "cone",
+    "independent-metric",
+    "asymmetric",
+    "non-metric",
+    "symmetric-non-metric",
+    "negative",
+    "relation",
 )
+KINDS = st.sampled_from(KIND_NAMES)
 SCANS = settings(max_examples=30, deadline=None)
 # non-metric inputs list tens of thousands of triangle violations
 VALIDATE = settings(max_examples=15, deadline=None)
@@ -368,3 +369,85 @@ def test_max_ratio_witness_matches_the_reduction_oracle_at_n_300(points):
     found = poset_mod.max_ratio_witness(p, triple_cap=300**3)
     assert found is not None
     assert _key(found) == reduction_max_ratio(p)
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+@pytest.mark.parametrize("budget", [1, 7, 64, 4096])
+def test_scans_under_small_budgets_match_full_tensor_references(budget, kind, monkeypatch):
+    """A SCAN_BLOCK below n * n splits the min-plus product over u, one row
+    at a time, as n > 256 does at the default budget; 4096 gives blocks of
+    a few rows."""
+    d, g = _instance(np.random.default_rng([budget, KIND_NAMES.index(kind)]), kind, 24)
+    p = _poset(d, g)
+    monkeypatch.setattr(poset_mod, "SCAN_BLOCK", budget)
+    found = [(v.kind, v.indices) for v in ml.validate(p).violations]
+    assert found == reference_violations(d, g)
+    hits = reference_witnesses(d, g)
+    assert _key(poset_mod.max_ratio_witness(p)) == reference_max_ratio(hits)
+    assert _key(ml.check_radiality(p)) == (hits[0] if hits else None)
+
+
+def test_validate_reads_mirrored_signed_zeros_as_symmetric():
+    """d[i, k] = -0.0 and d[k, i] = 0.0 pass ``np.array_equal(d, d.T)``, so
+    the filter computes each unordered pair once, reading d[k, i] for
+    d[i, k]; the report still matches the reference."""
+    rng = np.random.default_rng(9)
+    n = 40
+    pts = np.round(rng.uniform(-5.0, 5.0, size=(n, 2)), 1)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    g = (pts[:, None, :] >= pts[None, :, :]).all(axis=2)
+    i, k = rng.choice(n, size=(2, 8), replace=False)
+    d[i[:4], k[:4]], d[k[:4], i[:4]] = -0.0, 0.0  # mirrored signed zeros
+    d[i[4:], k[4:]] = d[k[4:], i[4:]] = d[i[4:], k[4:]] * 3.0  # planted violations
+    assert np.array_equal(d, d.T) and np.signbit(d).any()
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
+    assert "triangle inequality" in {kind for kind, _ in found}
+    assert found == reference_violations(d, g)
+
+
+class _BlockSizes:
+    """numpy for ``poset``, recording the size of each array ``np.min`` reduces."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def min(self, a, *args, **kwargs):
+        self.sizes.append(a.size)
+        return np.min(a, *args, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, poset_mod.SCAN_BLOCK])
+@pytest.mark.parametrize(
+    "m, k, n", [(1, 1, 1), (1, 5, 3), (6, 1, 9), (17, 4, 1), (13, 11, 8), (300, 2, 300)]
+)
+def test_min_plus_matches_the_naive_product(m, k, n, budget, monkeypatch):
+    """``out[r, v] = min_u At[u, r] + B[u, v]`` bit for bit, inf entries
+    included, with every block of sums within the budget (or one row of
+    B, when a row alone exceeds it)."""
+    rng = np.random.default_rng([m, k, n])
+    At = np.round(rng.exponential(size=(m, k)), 2)
+    B = np.round(rng.exponential(size=(m, n)), 2)
+    At[rng.random((m, k)) < 0.2] = np.inf
+    B[rng.random((m, n)) < 0.2] = np.inf
+    want = np.min(At.T[:, :, None] + B[None], axis=1)
+    blocks = _BlockSizes()
+    monkeypatch.setattr(poset_mod, "SCAN_BLOCK", budget)
+    monkeypatch.setattr(poset_mod, "np", blocks)
+    assert np.array_equal(poset_mod._min_plus(At, B), want)
+    assert max(blocks.sizes) <= max(budget, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_scans_on_posets_of_at_most_two_points(n):
+    """No triple exists: every scan reports nothing and the bound is 1."""
+    p = ml.poset_from_points(np.column_stack([np.arange(n), -np.arange(n)]), ml.orthant(2))
+    assert p.n == n
+    assert ml.validate(p).ok
+    assert ml.check_radiality(p) is None
+    assert ml.is_radially_convex(p)
+    assert poset_mod.max_ratio_witness(p) is None
+    ray = ml.HilbertRay(dim=2, e=np.array([0.0, 1.0]), cone=ml.orthant(2))
+    assert ml.e2_lower_bound(p, ray) == (1.0, None)
