@@ -49,10 +49,8 @@ _EXPORTS = {
         "chain_instance",
         "check_radiality",
         "grid_instance",
-        "is_radially_convex",
         "iter_radiality_witnesses",
         "poset_from_points",
-        "radiality_report",
         "validate",
     ),
     "spaces": (

@@ -127,9 +127,12 @@ class Report:
 
 def _vector(text):
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=float)
+        v = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
         raise SchemaError(f"cannot parse vector {text!r} (expected comma floats)")
+    if not np.isfinite(v).all():
+        raise SchemaError(f"vector {text!r} has an entry that is not finite")
+    return v
 
 
 def _target_from_args(args, report):
@@ -269,11 +272,7 @@ def _cmd_extend(args, report):
                     f"line with numeric labels; got {lab!r}"
                 )
         anchors = [positions[i] for i in problem.subset]
-        queries = (
-            [float(q) for q in args.queries.split(",")]
-            if args.queries
-            else [positions[i] for i in range(problem.domain.n)]
-        )
+        queries = _vector(args.queries) if args.queries else positions
         cone = None if problem.is_scalar else problem.target
         out = extension.line_extend(anchors, problem.f, queries, cone=cone)
         report.outcome = {
@@ -541,6 +540,15 @@ def _build_parser():
     return parser
 
 
+def _flag_error(args):
+    """Why --tol or --samples is out of range, or None."""
+    if not 0.0 <= args.tol < np.inf:
+        return f"--tol must be finite and at least 0, got {args.tol}"
+    if getattr(args, "samples", 0) < 0:
+        return f"--samples must be at least 0, got {args.samples}"
+    return None
+
+
 def dispatch(argv=None):
     parser = _build_parser()
     try:
@@ -550,6 +558,10 @@ def dispatch(argv=None):
         return int(exc.code or 0)
     if not getattr(args, "subcommand", None):
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    message = _flag_error(args)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     for var, attr, default in CAPS:
         text = os.environ.get(var)

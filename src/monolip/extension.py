@@ -49,7 +49,7 @@ class ExtensionProblem:
     ``target`` is a ConeOrder over R^m; the scalar target (R, >=) is the
     nonnegative ray in R^1 (``cones.scalar_cone()``). ``f`` has one row per
     subset index. Construction rejects maps that are not order-preserving
-    and 1-Lipschitz on S.
+    and 1-Lipschitz on S, and a ``tol`` that is negative or NaN.
     """
 
     domain: poset_mod.FiniteMetricPoset
@@ -59,6 +59,8 @@ class ExtensionProblem:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if not self.tol >= 0.0:  # also refuses NaN
+            raise StructureError(f"tol must be at least 0, got {self.tol}")
         subset = tuple(int(s) for s in self.subset)
         if not subset:
             raise StructureError("subset must be nonempty")
@@ -81,19 +83,20 @@ class ExtensionProblem:
         # Raises on the first failing pair (a, b) in row-major order, and
         # for that pair on the Lipschitz test before the order test.
         tol = self.tol
-        sub = np.ix_(self.subset, self.subset)
+        k = len(self.subset)
+        idx = np.array(self.subset)
+        sub = (idx[:, None], idx)
         d = self.domain.dist[sub]
         diff = self.f[:, None, :] - self.f[None, :, :]
         gap = cones.norm_many(diff, self.target.norm)
-        off = ~np.eye(len(self.subset), dtype=bool)
-        too_far = off & (gap > d + tol * (1.0 + d))
+        too_far = gap > d + tol * (1.0 + d)
+        too_far.flat[:: k + 1] = False  # a point is not too far from itself
         geq = self.domain.strict_matrix[sub]
-        unordered = np.zeros_like(geq)
-        unordered[geq] = ~cones.contains_many(self.target, diff[geq], tol)
-        bad = np.argwhere(too_far | unordered)
-        if not bad.size:
+        bad = too_far.copy()
+        bad[geq] |= ~cones.contains_many(self.target, diff[geq], tol)
+        if not bad.any():
             return
-        a, b = bad[0]
+        a, b = divmod(int(np.argmax(bad)), k)
         sa, sb = self.subset[a], self.subset[b]
         if too_far[a, b]:
             raise StructureError(
@@ -135,12 +138,14 @@ def verify_extension(problem, values, K):
     if values.shape != (n, problem.target.dim):
         raise StructureError(f"values must have shape ({n}, {problem.target.dim})")
     norm = problem.target.norm
-    i, j = problem.domain.upper_pairs
-    gaps = cones.norm_many(values[i] - values[j], norm)
-    lip = np.max(gaps - K * problem.domain.dist[i, j], initial=0.0)
-    i, j = problem.domain.strict_pairs
-    diff = values[i] - values[j]
-    miss = cones.norm_many(diff - cones.project_many(problem.target, diff), "l2")
+    # diff[i, j] = values[i] - values[j]; the Lipschitz term reads the
+    # pairs i < j (np.tri marks j <= i), the order term the strict pairs.
+    diff = values[:, None, :] - values[None, :, :]
+    excess = cones.norm_many(diff, norm) - K * problem.domain.dist
+    lip = np.max(excess, where=~np.tri(n, dtype=bool), initial=0.0)
+    strict = problem.domain.strict_matrix.ravel()
+    ordered = np.compress(strict, diff.reshape(n * n, problem.target.dim), axis=0)
+    miss = cones.norm_many(ordered - cones.project_many(problem.target, ordered), "l2")
     order = np.max(miss, initial=0.0)
     anchor = np.max(cones.norm_many(values[list(problem.subset)] - problem.f, norm), initial=0.0)
     return ResidualReport(lipschitz=float(lip), order=float(order), anchor=float(anchor))
@@ -269,7 +274,8 @@ class _ScalarPaths:
         Construction checks only directly comparable anchors, so a rise
         along a longer chain (a zigzag on {0}, or an order that is not
         transitive) leaves no K, and this raises. K_min is exactly 1 iff
-        K = 1 fits, so rounding cannot report 1 + 1 ulp.
+        K = 1 fits, so rounding cannot report 1 + 1 ulp: a pair that fails
+        K = 1 has rise > D* (tol >= 0), and then fl(rise / D*) > 1.
         """
         apart = self.path > 0.0
         if np.any(self.rise[~apart] > self.tol):
@@ -351,7 +357,7 @@ def _lp_rows(problem):
     anchors = F[list(problem.subset)].ravel()
     eq = [(np.arange(anchors.size), anchors, 1.0)]
     b_eq = problem.f.ravel()
-    oi, oj = problem.domain.strict_pairs
+    oi, oj = np.nonzero(problem.domain.strict_matrix)
     if target.is_trivial:
         normals = np.kron(np.eye(m), [[-1.0], [1.0]])  # +-e_c force F_i = F_j
     elif target.halfspaces is not None:
@@ -642,10 +648,10 @@ def scalar_extend(problem):
     if not problem.is_scalar:
         raise StructureError("scalar_extend needs a scalar target")
     route = _ScalarPaths(problem)
-    K = route.least_K()
+    K = route.least_K()  # exactly 1.0 iff K = 1 fits
     values = route.values(K)
     return ExtensionResult(
-        values=values, K=K, status=FEASIBLE if route.fits(1.0) else INFEASIBLE,
+        values=values, K=K, status=FEASIBLE if K == 1.0 else INFEASIBLE,
         residuals=verify_extension(problem, values, K),
     )
 

@@ -98,11 +98,6 @@ class FiniteMetricPoset:
         strict.setflags(write=False)
         return strict
 
-    @functools.cached_property
-    def strict_pairs(self):
-        """Index arrays (i, j) of the strict pairs i > j, row-major."""
-        return _frozen(*np.nonzero(self.strict_matrix))
-
     @property
     def n(self):
         return len(self.labels)
@@ -185,16 +180,19 @@ def validate(poset, tol=DEFAULT_TOL):
     out = []
     for i in np.flatnonzero(np.abs(np.diag(d)) > tol).tolist():
         out.append(Violation("zero-diagonal", (i,), f"d({i},{i}) = {d[i, i]}"))
-    iu, ju = poset.upper_pairs
-    upper, lower = d[iu, ju], d[ju, iu]
-    asym = np.abs(upper - lower) > tol
-    ident = upper <= tol
-    neg = (upper < -tol) | (lower < -tol)
-    for p in np.flatnonzero(asym | ident | neg).tolist():
-        i, j = int(iu[p]), int(ju[p])
-        if asym[p]:
+    # The pair checks read d and d.T and list the pairs i < j row-major.
+    # Nonnegativity is tested only on the pairs that fail symmetry or
+    # identity, which hold every failure: for tol >= 0, d(i, j) < -tol
+    # fails identity, and d(j, i) < -tol with d(i, j) > tol fails symmetry;
+    # every pair fails symmetry when tol < 0, and none fails anything when
+    # tol is NaN.
+    bad = np.abs(d - d.T) > tol
+    bad |= d <= tol
+    bad &= ~np.tri(n, dtype=bool)  # np.tri marks j <= i
+    for i, j in np.argwhere(bad).tolist():
+        if abs(d[i, j] - d[j, i]) > tol:
             out.append(Violation("symmetry", (i, j), f"d({i},{j}) != d({j},{i})"))
-        if ident[p]:
+        if d[i, j] <= tol:
             out.append(
                 Violation(
                     "identity of indiscernibles",
@@ -202,7 +200,7 @@ def validate(poset, tol=DEFAULT_TOL):
                     f"d({i},{j}) = {d[i, j]} for distinct points",
                 )
             )
-        if neg[p]:
+        if min(d[i, j], d[j, i]) < -tol:
             out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
     # The row filter of the docstring; argwhere walks a flagged row's (j, k)
     # in row-major order.
@@ -387,19 +385,18 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     g = poset.order_matrix
     strict = poset.strict_matrix
     n = poset.n
-    kinds = (
-        # RD1, x >=* y > z: rhs d(x, y), not y >= x, as values[x] over allowed[z]
-        (np.where(g.T, -np.inf, d), np.ascontiguousarray(strict.T)),
-        # RD2, x > y >=* z: rhs d(y, z), not z >= y, as values[z] over allowed[x]
-        (np.where(g, -np.inf, d.T), strict),
-    )
+    # Rows [0, n) for RD1, x >=* y > z: rhs d(x, y), not y >= x, as
+    # values[x] over allowed[z]. Rows [n, 2n) for RD2, x > y >=* z: rhs
+    # d(y, z), not z >= y, as values[n + z] over allowed[n + x].
+    values = np.where(np.vstack([g.T, g]), -np.inf, np.vstack([d, d.T]))
+    allowed = np.vstack([strict.T, strict])
     ub = np.full((2, n, n), np.inf)
     positive = d > 0
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(d.max(axis=1, initial=-np.inf)[:, None], d, out=ub[0], where=positive)
         np.divide(d.max(axis=0, initial=-np.inf), d, out=ub[1], where=positive)
     ub[:, np.arange(n), np.arange(n)] = -np.inf
-    t = ub.max(where=np.isfinite(ub), initial=-np.inf) / 2
+    t = ub.max(where=ub < np.inf, initial=-np.inf) / 2  # U / 2; no ub is NaN
     best, first = -np.inf, ub.size
     with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
         while True:
@@ -407,16 +404,16 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
                 t = -np.inf  # the last pass: every pair left
             band = np.flatnonzero(ub >= t)
             np.put(ub, band, np.nan)  # no later threshold selects a computed pair
-            cut = np.searchsorted(band, n * n)
-            for k, flat in enumerate((band[:cut], band[cut:])):
-                x, z = np.divmod(flat - k * n * n, n)
-                values, allowed = kinds[k]
-                own, other = (x, z) if k == 0 else (z, x)
-                ratio = _pair_ratios(values, allowed, own, other, d[x, z], tol)
-                if ratio.size:
-                    j = np.argmax(ratio)
-                    if ratio[j] > best or (ratio[j] == best and flat[j] < first):
-                        best, first = ratio[j], flat[j]
+            k, x, z = np.unravel_index(band, ub.shape)
+            shift = k * n
+            own = np.where(k, z, x) + shift
+            other = np.where(k, x, z) + shift
+            ratio = _pair_ratios(values, allowed, own, other, d[x, z], tol)
+            if ratio.size:
+                # argmax takes the first maximum, the least flat index
+                j = np.argmax(ratio)
+                if ratio[j] > best or (ratio[j] == best and band[j] < first):
+                    best, first = ratio[j], band[j]
             if best >= t or t == -np.inf:
                 break
             rest = np.fmax.reduce(ub, axis=None, initial=-np.inf)  # fmax skips NaN
@@ -435,38 +432,13 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
 
 
 def check_radiality(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
-    """First radiality violation in (kind, x, y, z) order, or None."""
-    return next(iter_radiality_witnesses(poset, tol, triple_cap), None)
-
-
-def is_radially_convex(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
-    """d(x, z) >= max(d(x, y), d(y, z)) whenever x > y > z."""
-    _check_cap(poset.n, triple_cap)
-    d = poset.dist
-    strict = poset.strict_matrix
-    for x in range(poset.n):
-        # bad[y, z]: x > y > z with d(x, z) < max(d(x, y), d(y, z))
-        bad = strict[x][:, None] & strict & (d[x][None, :] < np.maximum(d[x][:, None], d) - tol)
-        if bad.any():
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class RadialityReport:
-    witness: RadialityWitness | None
-    radially_convex: bool
-
-    @property
-    def radial(self):
-        return self.witness is None
-
-
-def radiality_report(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
-    return RadialityReport(
-        witness=check_radiality(poset, tol, triple_cap),
-        radially_convex=is_radially_convex(poset, tol, triple_cap),
-    )
+    """First radiality violation in (kind, x, y, z) order, or None: one
+    ``argmax`` per block finds its first set entry in C order."""
+    for kind, start, mask in _witness_blocks(poset, tol, triple_cap):
+        c, y, z = np.unravel_index(np.argmax(mask), mask.shape)
+        if mask[c, y, z]:
+            return _witness(poset.dist, kind, start + int(c), int(y), int(z))
+    return None
 
 
 def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
@@ -496,6 +468,8 @@ def grid_instance(dim, side, spacing, cone, size_cap=4096, tol=DEFAULT_TOL):
     count = side**dim
     if dim * count > size_cap:
         raise SizeCapError(f"dim*side^dim = {dim * count} exceeds cap {size_cap}")
+    if not np.isfinite(spacing):
+        raise StructureError(f"spacing must be finite, got {spacing}")
     points = spacing * np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
     return poset_from_points(points, cone, tol=tol)
 

@@ -135,3 +135,15 @@ def naive_radiality_witnesses(poset, tol=1e-9):
                 ):
                     out.append(("RD2", (x, y, z), d[x, z], d[y, z]))
     return out
+
+
+def naive_radially_convex(poset, tol=1e-9):
+    """d(x, z) >= max(d(x, y), d(y, z)) for every x > y > z, as three loops."""
+    n, d, geq = poset.n, poset.dist, poset.geq
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if x != y and y != z and geq(x, y) and geq(y, z):
+                    if d[x, z] < max(d[x, y], d[y, z]) - tol:
+                        return False
+    return True

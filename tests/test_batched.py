@@ -253,33 +253,6 @@ def test_e2_lower_bound_matches_witness_maximum(seed):
     assert bound == best[3] / best[2]
 
 
-def naive_radially_convex(poset, tol=1e-9):
-    """d(x, z) >= max(d(x, y), d(y, z)) for every x > y > z, as three loops."""
-    n, d, geq = poset.n, poset.dist, poset.geq
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if x != y and y != z and geq(x, y) and geq(y, z):
-                    if d[x, z] < max(d[x, y], d[y, z]) - tol:
-                        return False
-    return True
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=SEEDS)
-def test_is_radially_convex_matches_triple_loop(seed):
-    rng = np.random.default_rng(seed)
-    # a pointed planar cone wider than the orthant lets d(x, z) < d(x, y)
-    cone = random_pointed_cone(rng, dim=2, n_gen=int(rng.integers(2, 5)))
-    pts = np.unique(np.round(rng.uniform(-3, 3, size=(int(rng.integers(3, 12)), 2)), 1), axis=0)
-    p = ml.poset_from_points(pts, cone)
-    if rng.random() < 0.5:  # the same order on an independent metric
-        q = rng.uniform(-3, 3, size=(p.n, 2))
-        dist = np.linalg.norm(q[:, None] - q[None], axis=2)
-        p = ml.FiniteMetricPoset(labels=p.labels, dist=dist, order=p.order)
-    assert poset_mod.is_radially_convex(p) == naive_radially_convex(p)
-
-
 # ---------------------------------------------------------------------------
 # extension residuals and admissibility
 # ---------------------------------------------------------------------------
@@ -319,6 +292,11 @@ def test_verify_extension_matches_pair_loop(seed):
     rng = np.random.default_rng(seed)
     pts = np.round(rng.uniform(-4, 4, size=(int(rng.integers(2, 14)), 2)), 2)
     domain = ml.poset_from_points(pts, ml.orthant(2))
+    if rng.random() < 0.5:
+        # d(i, j) != d(j, i), and d(i, i) != 0: only pairs i < j enter the
+        # Lipschitz term
+        dist = rng.uniform(0.0, 6.0, size=(domain.n, domain.n))
+        domain = ml.FiniteMetricPoset(domain.labels, dist, domain.order_matrix)
     target = _target(rng)
     values = rng.normal(size=(domain.n, target.dim)) * 3.0
     s = int(rng.integers(domain.n))

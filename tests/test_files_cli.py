@@ -17,6 +17,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
 WITNESS = os.path.join(INSTANCES, "witness_poset.json")
 WITNESS_PROBLEM = os.path.join(INSTANCES, "witness_scalar_problem.json")
+CHAIN_PROBLEM = os.path.join(INSTANCES, "chain_problem.json")
 TRIPOD = os.path.join(INSTANCES, "tripod_tree.json")
 
 
@@ -166,6 +167,80 @@ def test_cli_schema_error_is_usage_error(tmp_path, capsys):
 
 def test_cli_feasible_mode_requires_K(capsys):
     assert cli.dispatch(["extend", WITNESS_PROBLEM, "--mode", "feasible"]) == 2
+
+
+def _usage_error(argv, capsys):
+    """The one stderr line of a call that must exit 2 and print nothing."""
+    assert cli.dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+INTERPOLATE = ["extend", CHAIN_PROBLEM, "--mode", "interpolate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*INTERPOLATE, "--queries=a,b"],
+        [*INTERPOLATE, "--queries=1,", "--format", "machine"],
+        [*INTERPOLATE, "--queries=nan,inf", "--format", "machine"],
+        ["busemann", "--space", "hilbert", "--e", "1,1", "--point", "1,nan", "--format", "machine"],
+        ["busemann", "--space", "hilbert", "--e", "inf,1", "--point", "1,1"],
+        ["busemann", "--space", "halfspace", "--point", "0,-inf,1"],
+    ],
+    ids=["queries-text", "queries-empty", "queries-nan", "point-nan", "e-inf", "point-inf"],
+)
+def test_cli_malformed_vector_flags_are_usage_errors(argv, capsys):
+    _usage_error(argv, capsys)
+
+
+def _triangle_breaker(tmp_path):
+    """A three-point chain with d(0, 2) = 5 > d(0, 1) + d(1, 2) = 2."""
+    dist = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    order = [(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (2, 0)]
+    p = ml.FiniteMetricPoset(("a", "b", "c"), dist, order)
+    path = tmp_path / "broken.json"
+    files.dump(files.poset_to_dict(p), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "nan"], "error: --tol must be finite and at least 0, got nan"),
+        (["--tol", "inf"], "error: --tol must be finite and at least 0, got inf"),
+        (["--tol", "-1"], "error: --tol must be finite and at least 0, got -1.0"),
+    ],
+    ids=["nan", "inf", "negative"],
+)
+@pytest.mark.parametrize("command", ["validate", "radial"])
+def test_cli_tol_must_be_finite_and_nonnegative(command, flags, message, tmp_path, capsys):
+    broken = _triangle_breaker(tmp_path)
+    assert _usage_error([command, broken, *flags], capsys) == message
+    assert _usage_error([command, WITNESS, *flags], capsys) == message
+
+
+def test_cli_tol_zero_still_checks(tmp_path, capsys):
+    assert cli.dispatch(["validate", _triangle_breaker(tmp_path), "--tol", "0"]) == 1
+    assert "triangle inequality" in capsys.readouterr().out
+    assert cli.dispatch(["validate", WITNESS, "--tol", "0"]) == 0
+    assert cli.dispatch(["radial", WITNESS, "--tol", "0"]) == 1
+
+
+def test_cli_non_finite_spacing_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    argv = ["gen", "grid", "--out", str(out), "--spacing", "inf"]
+    assert _usage_error(argv, capsys) == "error: spacing must be finite, got inf"
+    assert not out.exists()
+
+
+def test_cli_negative_samples_is_a_usage_error(capsys):
+    argv = ["estimate-e", WITNESS_PROBLEM, "--samples", "-3", "--format", "machine"]
+    assert _usage_error(argv, capsys) == "error: --samples must be at least 0, got -3"
 
 
 def test_cli_machine_output_deterministic(capsys):

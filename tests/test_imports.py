@@ -116,8 +116,7 @@ EXPORTS = {
     ],
     "poset": [
         "FiniteMetricPoset", "RadialityWitness", "chain_instance", "check_radiality",
-        "grid_instance", "is_radially_convex", "iter_radiality_witnesses",
-        "poset_from_points", "radiality_report", "validate",
+        "grid_instance", "iter_radiality_witnesses", "poset_from_points", "validate",
     ],
     "spaces": ["BusemannValue", "HalfSpaceHn", "HilbertRay", "busemann_limit", "ray_order"],
     "trees": ["RTree", "random_tree", "tripod"],

@@ -48,6 +48,19 @@ def test_non_finite_numbers_are_refused(where, bad):
         NON_FINITE_INPUTS[where](bad)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, math.nan])
+def test_problem_tol_must_be_at_least_zero(tol):
+    """A scalar result is Feasible iff its K is exactly 1, which needs tol >= 0."""
+    with pytest.raises(StructureError, match="tol must be at least 0"):
+        ml.ExtensionProblem(
+            domain=_witness_poset(),
+            subset=(0, 1),
+            target=ml.scalar_cone(),
+            f=[[1.0], [0.0]],
+            tol=tol,
+        )
+
+
 def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))  # writes NaN, which json.load reads back

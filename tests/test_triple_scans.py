@@ -246,7 +246,7 @@ def test_max_ratio_witness_matches_full_tensor_reference(seed, n, kind):
 
 def _counting(monkeypatch):
     """Count the pairs ``max_ratio_witness`` computes exactly, and its
-    passes (one ``_pair_ratios`` call per kind and pass)."""
+    passes (one ``_pair_ratios`` call per pass)."""
     seen = {"pairs": 0, "calls": 0}
     pair_ratios = poset_mod._pair_ratios
 
@@ -285,7 +285,7 @@ def test_max_ratio_witness_runs_a_few_passes_after_a_tiny_distance(tiny, monkeyp
     p = _poset(d, q.order_matrix)
     seen = _counting(monkeypatch)
     found = poset_mod.max_ratio_witness(p)
-    assert 3 <= seen["calls"] // 2 <= 8
+    assert 3 <= seen["calls"] <= 8
     assert seen["pairs"] < p.n * p.n  # most pairs are never computed
     assert _key(found) == reference_max_ratio(reference_witnesses(d, q.order_matrix))
 
@@ -447,7 +447,6 @@ def test_scans_on_posets_of_at_most_two_points(n):
     assert p.n == n
     assert ml.validate(p).ok
     assert ml.check_radiality(p) is None
-    assert ml.is_radially_convex(p)
     assert poset_mod.max_ratio_witness(p) is None
     ray = ml.HilbertRay(dim=2, e=np.array([0.0, 1.0]), cone=ml.orthant(2))
     assert ml.e2_lower_bound(p, ray) == (1.0, None)
