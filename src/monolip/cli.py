@@ -8,8 +8,6 @@ negative), 2 usage or input error, 3 numeric non-convergence.
 ``--format machine`` emits a single JSON document on stdout with all floats
 rounded to 9 significant digits; identical inputs and seed reproduce
 byte-identical machine output (timing is reported only in human format).
-Size caps are configurable via the MONOLIP_TRIPLE_CAP and MONOLIP_SIZE_CAP
-environment variables (positive integers; any other value exits 2).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -30,7 +27,6 @@ from .errors import (
     NumericInstabilityError,
     RadialityRequiredError,
     SchemaError,
-    SizeCapError,
     UnsupportedTargetError,
 )
 
@@ -38,12 +34,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-#: Size caps: environment variable, the ``args`` attribute it sets, default.
-CAPS = (
-    ("MONOLIP_TRIPLE_CAP", "triple_cap", poset_mod.DEFAULT_TRIPLE_CAP),
-    ("MONOLIP_SIZE_CAP", "size_cap", 4096),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +219,7 @@ def _cmd_validate(args, report):
 def _cmd_radial(args, report):
     report.add_input(args.poset)
     poset = files.load_poset(args.poset)
-    w = poset_mod.check_radiality(poset, tol=args.tol, triple_cap=args.triple_cap)
+    w = poset_mod.check_radiality(poset, tol=args.tol)
     if w is None:
         report.outcome = {"radial": True}
         report.say("radial: no violating triple")
@@ -340,9 +330,7 @@ def _cmd_certify(args, report):
     report.add_input(args.poset)
     poset = files.load_poset(args.poset)
     target = _target_from_args(args, report)
-    bound, cert = obstruction.e2_lower_bound(
-        poset, target, tol=args.tol, triple_cap=args.triple_cap
-    )
+    bound, cert = obstruction.e2_lower_bound(poset, target, tol=args.tol)
     if cert is None:
         report.outcome = {"radial": True, "bound": 1.0}
         report.say("radial: no obstruction, lower bound 1")
@@ -425,9 +413,7 @@ def _cmd_estimate_e(args, report):
 def _cmd_gen(args, report):
     if args.kind == "grid":
         cone = cones.orthant(args.dim, norm=args.norm)
-        poset = poset_mod.grid_instance(
-            args.dim, args.side, args.spacing, cone, size_cap=args.size_cap
-        )
+        poset = poset_mod.grid_instance(args.dim, args.side, args.spacing, cone)
         doc = files.poset_to_dict(poset)
         files.dump(doc, args.out)
         report.outcome = {"kind": "grid", "points": poset.n, "out": args.out}
@@ -563,29 +549,16 @@ def dispatch(argv=None):
     if message is not None:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    for var, attr, default in CAPS:
-        text = os.environ.get(var)
-        try:
-            cap = default if text is None else int(text)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            print(f"error: {var} must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
-        setattr(args, attr, cap)
     report = Report(args.subcommand, seed=getattr(args, "seed", None))
     try:
         code = args.func(args, report)
-    except (SchemaError, SizeCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RadialityRequiredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except (ConvergenceError, NumericInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MonolipError as exc:
+    except MonolipError as exc:  # SchemaError, SizeCapError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.emit(args.format)

@@ -161,6 +161,8 @@ def _is_scaled_basis(rows):
 
 def orthant(dim, norm="l2"):
     """The nonnegative orthant in R^dim (coordinatewise order)."""
+    if dim < 1:  # np.eye would raise ValueError on a negative size
+        raise StructureError("cone dimension must be positive")
     return _orthant(dim, norm)
 
 
@@ -172,6 +174,8 @@ def _orthant(dim, norm):
 
 def trivial_cone(dim, norm="l2"):
     """The cone {0}, inducing the trivial order."""
+    if dim < 1:  # np.zeros would raise ValueError on a negative size
+        raise StructureError("cone dimension must be positive")
     return _trivial_cone(dim, norm)
 
 

@@ -21,7 +21,7 @@ class SchemaError(MonolipError):
 
 
 class SizeCapError(MonolipError):
-    """An enumeration would exceed the configured size cap."""
+    """A requested instance exceeds a fixed size limit; raised before allocating."""
 
 
 class ConvergenceError(MonolipError):

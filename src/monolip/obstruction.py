@@ -7,16 +7,16 @@ K-Lipschitz monotone extensions force K >= rhs/lhs, where lhs < rhs are
 the witness distances. The bound depends only on those distances, never on
 the target. A certificate is checked by its premises: a few reads of the
 order and the distances, and one division. The tests compare the bound
-with the exact modulus of the induced three-point scalar problem.
+with the exact modulus of the induced three-point scalar problem, which
+they build from the witness (``induced_scalar_problem`` in
+``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import cones, poset as poset_mod
+from . import poset as poset_mod
 from .errors import HypothesisError, StructureError
 
 MIN_BOUND_MARGIN = 1e-12
@@ -121,32 +121,10 @@ def certify_obstruction(poset, witness, target):
     )
 
 
-def induced_scalar_problem(poset, witness):
-    """The three-point scalar problem whose modulus equals the bound."""
-    from . import extension
-
-    sub = _subposet(poset, list(witness.triple))
-    hi, lo = witness.anchors
-    f = np.array([[float(poset.dist[hi, lo])], [0.0]])
-    return extension.ExtensionProblem(
-        domain=sub, subset=witness.anchor_slots, target=cones.scalar_cone(), f=f
-    )
-
-
-def _subposet(poset, indices):
-    sub = np.ix_(indices, indices)
-    labels = tuple(poset.labels[i] for i in indices)
-    return poset_mod.FiniteMetricPoset(
-        labels=labels, dist=poset.dist[sub], order=poset.order_matrix[sub]
-    )
-
-
-def e2_lower_bound(
-    poset, target, tol=poset_mod.DEFAULT_TOL, triple_cap=poset_mod.DEFAULT_TRIPLE_CAP
-):
+def e2_lower_bound(poset, target, tol=poset_mod.DEFAULT_TOL):
     """Best certified lower bound over all radiality witnesses (1 if the
     poset is radial); returns (bound, certificate_or_None)."""
-    best = poset_mod.max_ratio_witness(poset, tol, triple_cap)
+    best = poset_mod.max_ratio_witness(poset, tol)
     if best is None:
         return 1.0, None
     cert = certify_obstruction(poset, best, target)

@@ -20,8 +20,10 @@ from . import cones
 from .cones import DEFAULT_TOL
 from .errors import SizeCapError, StructureError
 
-#: Refuse triple enumerations beyond this many triples unless overridden.
-DEFAULT_TRIPLE_CAP = 10**6
+#: Most points ``grid_instance`` builds. A poset holds n^2 distances and
+#: its file n^2 numbers; ``gen grid`` in the plane peaks at about 100 bytes
+#: per n^2, 0.4 GB at n = 2025.
+MAX_GRID_POINTS = 2048
 
 #: Largest block, in entries, of the k-major min-plus sums (``validate``'s
 #: triangle filter, the scalar shortest paths), of the radiality witness
@@ -277,14 +279,6 @@ class RadialityWitness:
         return self.triple[i], self.triple[j]
 
 
-def _check_cap(n, triple_cap):
-    if n**3 > triple_cap:
-        raise SizeCapError(
-            f"{n}^3 triples exceed the cap of {triple_cap}; "
-            "raise triple_cap explicitly to proceed"
-        )
-
-
 def _witness_mask(d, g, strict, kind, xs, tol):
     """``mask[c, y, z]`` marks the witness (kind, (xs.start + c, y, z))."""
     lhs = d[xs][:, None, :]  # d(x, z)
@@ -298,14 +292,13 @@ def _witness_mask(d, g, strict, kind, xs, tol):
     return mask
 
 
-def _witness_blocks(poset, tol, triple_cap):
+def _witness_blocks(poset, tol):
     """Yield (kind, start, mask) over blocks of x, RD1 blocks first.
 
     ``mask[c, y, z]`` marks the witness (kind, (start + c, y, z)). A block
     holds at most about SCAN_BLOCK triples (one x at least), so the scan
     runs in O(n^2) memory.
     """
-    _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
     strict = poset.strict_matrix
@@ -326,10 +319,10 @@ def _witness(d, kind, x, y, z):
     return RadialityWitness(kind, triple, float(d[x, z]), float(d[triple[i], triple[j]]))
 
 
-def iter_radiality_witnesses(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
+def iter_radiality_witnesses(poset, tol=DEFAULT_TOL):
     """Yield every radiality violation, RD1 triples first, in lexicographic
     order of (kind, x, y, z). Witnesses require lhs < rhs - tol."""
-    for kind, start, mask in _witness_blocks(poset, tol, triple_cap):
+    for kind, start, mask in _witness_blocks(poset, tol):
         for c, y, z in np.argwhere(mask).tolist():
             yield _witness(poset.dist, kind, start + c, y, z)
 
@@ -362,7 +355,7 @@ def _pair_ratios(values, allowed, own, other, lhs, tol):
     return ratio
 
 
-def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
+def max_ratio_witness(poset, tol=DEFAULT_TOL):
     """The witness of largest ratio rhs/lhs, or None if the poset is radial.
 
     Ties go to the first in ``iter_radiality_witnesses`` order. The exact
@@ -378,9 +371,8 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     best ratio and the least flat (kind, x, z) index reaching it. A pair
     never computed has ratio <= ub < best, so that index is the one a full
     scan finds, and only its x is enumerated for the first witness of that
-    ratio. Memory stays O(n^2).
+    ratio. Memory stays O(n^2) and time O(n^3), as for every scan here.
     """
-    _check_cap(poset.n, triple_cap)
     d = poset.dist
     g = poset.order_matrix
     strict = poset.strict_matrix
@@ -431,10 +423,11 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
     return _witness(d, kind, x, int(y[i]), int(z[i]))
 
 
-def check_radiality(poset, tol=DEFAULT_TOL, triple_cap=DEFAULT_TRIPLE_CAP):
+def check_radiality(poset, tol=DEFAULT_TOL):
     """First radiality violation in (kind, x, y, z) order, or None: one
-    ``argmax`` per block finds its first set entry in C order."""
-    for kind, start, mask in _witness_blocks(poset, tol, triple_cap):
+    ``argmax`` per block finds its first set entry in C order. Memory
+    O(n^2); time O(n^3) on a radial poset, which every block must clear."""
+    for kind, start, mask in _witness_blocks(poset, tol):
         c, y, z = np.unravel_index(np.argmax(mask), mask.shape)
         if mask[c, y, z]:
             return _witness(poset.dist, kind, start + int(c), int(y), int(z))
@@ -462,14 +455,21 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
     return FiniteMetricPoset(labels=labels, dist=dist, order=geq | np.eye(n, dtype=bool))
 
 
-def grid_instance(dim, side, spacing, cone, size_cap=4096, tol=DEFAULT_TOL):
+def grid_instance(dim, side, spacing, cone, tol=DEFAULT_TOL):
     """Lattice points of {0..side-1}^dim scaled by ``spacing``, ordered by
-    the cone and metrized by its norm tag."""
-    count = side**dim
-    if dim * count > size_cap:
-        raise SizeCapError(f"dim*side^dim = {dim * count} exceeds cap {size_cap}")
+    the cone and metrized by its norm tag; at most MAX_GRID_POINTS points,
+    counted before anything is allocated."""
+    if dim < 1 or side < 1:
+        raise StructureError(f"grid needs dim >= 1 and side >= 1, got {dim} and {side}")
+    # side >= 2 and dim >= the limit's bit length already exceed it: no huge power
+    if side > 1 and (dim >= MAX_GRID_POINTS.bit_length() or side**dim > MAX_GRID_POINTS):
+        raise SizeCapError(
+            f"a grid of side {side} in dim {dim} exceeds {MAX_GRID_POINTS} points"
+        )
     if not np.isfinite(spacing):
         raise StructureError(f"spacing must be finite, got {spacing}")
+    if spacing <= 0:  # else every point coincides
+        raise StructureError(f"spacing must be positive, got {spacing}")
     points = spacing * np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
     return poset_from_points(points, cone, tol=tol)
 

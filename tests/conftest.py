@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from monolip import ConeOrder, FiniteMetricPoset, chain_instance, is_pointed
-from monolip import check_radiality, poset_from_points, orthant
+from monolip import ConeOrder, ExtensionProblem, FiniteMetricPoset, chain_instance, is_pointed
+from monolip import check_radiality, poset_from_points, orthant, scalar_cone
 
 # Each failing example prints a blob that @reproduce_failure replays on any
 # checkout; counts and seeds stay as in Hypothesis's default profile.
@@ -147,3 +147,18 @@ def naive_radially_convex(poset, tol=1e-9):
                     if d[x, z] < max(d[x, y], d[y, z]) - tol:
                         return False
     return True
+
+
+def induced_scalar_problem(poset, witness):
+    """The three-point scalar problem whose modulus equals the witness's
+    certified bound: f = rhs on the top anchor, 0 on the bottom one."""
+    sub = _subposet(poset, list(witness.triple))
+    hi, lo = witness.anchors
+    f = np.array([[float(poset.dist[hi, lo])], [0.0]])
+    return ExtensionProblem(domain=sub, subset=witness.anchor_slots, target=scalar_cone(), f=f)
+
+
+def _subposet(poset, indices):
+    sub = np.ix_(indices, indices)
+    labels = tuple(poset.labels[i] for i in indices)
+    return FiniteMetricPoset(labels=labels, dist=poset.dist[sub], order=poset.order_matrix[sub])

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import monolip as ml
-from monolip import extension, obstruction, spaces
-from monolip.poset import DEFAULT_TRIPLE_CAP
+from monolip import extension, spaces
 
 from conftest import (
+    induced_scalar_problem,
     monotone_line_map,
     naive_radiality_witnesses,
     random_metric_poset,
@@ -44,7 +44,7 @@ def test_acceptance_1_non_extension_witness():
     cert = ml.certify_obstruction(poset, witness, ray)
     ok = ok and abs(cert.bound - SQRT25) <= 1e-8
 
-    induced = obstruction.induced_scalar_problem(poset, witness)
+    induced = induced_scalar_problem(poset, witness)
     est = ml.estimate_e(induced)
     ok = ok and est.conclusive and abs(est.K - SQRT25) <= 1e-4
 
@@ -283,7 +283,7 @@ def test_acceptance_8_oracle_equivalence():
         naive = naive_radiality_witnesses(poset)
         ours = [
             (w.kind, w.triple, w.lhs, w.rhs)
-            for w in ml.iter_radiality_witnesses(poset, triple_cap=DEFAULT_TRIPLE_CAP)
+            for w in ml.iter_radiality_witnesses(poset)
         ]
         ok = ok and sorted(naive) == sorted(ours)
         ok = ok and (ml.check_radiality(poset) is None) == (not naive)

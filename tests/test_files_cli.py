@@ -3,8 +3,6 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -367,52 +365,56 @@ def test_cli_estimate_e_samples_needs_generators(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# size caps from the environment
+# posets past a hundred points; the grid generator's inputs
 # ---------------------------------------------------------------------------
 
 
-def _cli_process(argv, **env):
-    """(exit code, stderr) of the CLI run in a fresh interpreter."""
-    full = dict(os.environ, **env)
-    full["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(HERE, os.pardir, "src"), os.environ.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "monolip.cli", *argv],
-        env=full, capture_output=True, text=True, timeout=120,
-    )
-    return proc.returncode, proc.stderr
+def _largest_witness_ratio(p, tol=1e-9):
+    """max rhs / lhs over every radiality witness, one x at a time, from
+    the definitions."""
+    d, g, strict = p.dist, p.order_matrix, p.strict_matrix
+    lhs = d[:, None, :]  # [x, 0, z] -> d(x, z)
+    best = -np.inf
+    for x in range(p.n):
+        for allowed, rhs in (
+            (~g[:, x, None] & strict, d[x, :, None]),  # RD1: x >=* y > z, rhs d(x, y)
+            (strict[x, :, None] & ~g.T, d),  # RD2: x > y >=* z, rhs d(y, z)
+        ):
+            hit = allowed & (lhs[x] < rhs - tol)
+            ratio = np.divide(rhs, lhs[x], out=np.full(hit.shape, -np.inf), where=hit)
+            best = max(best, float(ratio.max()))
+    return best
 
 
-def test_malformed_triple_cap_is_a_usage_error():
-    code, err = _cli_process(["validate", WITNESS], MONOLIP_TRIPLE_CAP="abc")
-    assert code == 2
-    assert err.strip() == "error: MONOLIP_TRIPLE_CAP must be a positive integer"
+def test_cli_radial_and_certify_on_150_points(tmp_path, capsys):
+    pts = np.round(np.random.default_rng(150).uniform(-5.0, 5.0, size=(150, 2)), 3)
+    path = str(tmp_path / "planar.json")
+    files.dump(files.poset_to_dict(ml.poset_from_points(pts, ml.orthant(2))), path)
+    p = files.load_poset(path)
+    assert cli.dispatch(["radial", path, "--format", "machine"]) == 1
+    witness = json.loads(capsys.readouterr().out)["outcome"]["witness"]
+    first = next(ml.iter_radiality_witnesses(p))
+    assert (witness["kind"], tuple(witness["triple"])) == (first.kind, first.triple)
+    argv = ["certify", path, "--space", "hilbert", "--e", "1,1", "--format", "machine"]
+    assert cli.dispatch(argv) == 1
+    bound = json.loads(capsys.readouterr().out)["outcome"]["bound"]
+    assert bound == float(format(_largest_witness_ratio(p), ".9g")) > 1.0
 
 
-def test_negative_size_cap_is_a_usage_error(tmp_path):
-    out = str(tmp_path / "grid.json")
-    code, err = _cli_process(["gen", "grid", "--dim", "2", "--out", out], MONOLIP_SIZE_CAP="-5")
-    assert code == 2
-    assert err.strip() == "error: MONOLIP_SIZE_CAP must be a positive integer"
-    assert not os.path.exists(out)
-
-
-@pytest.mark.parametrize("var", ["MONOLIP_TRIPLE_CAP", "MONOLIP_SIZE_CAP"])
-@pytest.mark.parametrize("value", ["x", "0", "-5", "1.5", ""])
-def test_cap_variables_must_be_positive_integers(var, value, monkeypatch, capsys):
-    monkeypatch.setenv(var, value)
-    assert cli.dispatch(["radial", WITNESS]) == 2
-    assert capsys.readouterr().err.strip() == f"error: {var} must be a positive integer"
-
-
-def test_cap_variables_set_the_caps(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("MONOLIP_TRIPLE_CAP", "26")  # the witness poset has 27 triples
-    assert cli.dispatch(["radial", WITNESS]) == 2
-    assert "exceed the cap of 26" in capsys.readouterr().err
-    monkeypatch.setenv("MONOLIP_TRIPLE_CAP", "27")
-    monkeypatch.setenv("MONOLIP_SIZE_CAP", "7")
-    assert cli.dispatch(["radial", WITNESS]) == 1
-    out = str(tmp_path / "grid.json")
-    assert cli.dispatch(["gen", "grid", "--dim", "2", "--side", "2", "--out", out]) == 2
-    assert "exceeds cap 7" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dim", "-1"], "cone dimension must be positive"),
+        (["--dim", "0"], "cone dimension must be positive"),
+        (["--side", "0"], "grid needs dim >= 1 and side >= 1, got 2 and 0"),
+        (["--side", "-2"], "grid needs dim >= 1 and side >= 1, got 2 and -2"),
+        (["--spacing", "0"], "spacing must be positive, got 0.0"),
+        (["--side", "46"], "a grid of side 46 in dim 2 exceeds 2048 points"),
+    ],
+    ids=["dim-1", "dim0", "side0", "side-2", "spacing0", "side46"],
+)
+def test_cli_gen_grid_refuses_bad_shapes(flags, message, tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    argv = ["gen", "grid", "--out", str(out), *flags]
+    assert _usage_error(argv, capsys) == f"error: {message}"
+    assert not out.exists()

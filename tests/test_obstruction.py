@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monolip as ml
-from monolip import extension, files, obstruction, trees
+from monolip import extension, files, trees
 from monolip.errors import HypothesisError, StructureError
 from monolip.poset import RadialityWitness
 
-from conftest import random_metric_poset
+from conftest import induced_scalar_problem, random_metric_poset
 
 SQRT25 = math.sqrt(2.5)
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -168,7 +168,7 @@ def test_certified_bound_is_the_induced_scalar_modulus(seed):
     p = random_metric_poset(np.random.default_rng(seed))
     for w in itertools.islice(ml.iter_radiality_witnesses(p), 40):
         if w.ratio > 1.0 + 1e-6:
-            modulus = ml.estimate_e(obstruction.induced_scalar_problem(p, w)).K
+            modulus = ml.estimate_e(induced_scalar_problem(p, w)).K
             assert modulus == ml.certify_obstruction(p, w, vertical_ray()).bound
 
 
@@ -184,7 +184,7 @@ def test_certificate_brackets_scalar_feasibility():
     p = rd1_poset()
     w = ml.check_radiality(p)
     cert = ml.certify_obstruction(p, w, vertical_ray())
-    induced = obstruction.induced_scalar_problem(p, w)
+    induced = induced_scalar_problem(p, w)
     below = ml.feasibility_at_K(induced, cert.bound - 1e-3)
     above = ml.feasibility_at_K(induced, cert.bound + 1e-3)
     assert below.status == extension.INFEASIBLE

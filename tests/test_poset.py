@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,12 +125,6 @@ def test_witness_is_lexicographically_first():
     assert first == min(all_witnesses, key=key)
 
 
-def test_triple_cap_refuses():
-    p = ml.chain_instance(np.arange(11.0))
-    with pytest.raises(SizeCapError):
-        ml.check_radiality(p, triple_cap=1000)
-
-
 def test_radiality_implies_radial_convexity(rng):
     for _ in range(20):
         p = random_metric_poset(rng, max_points=10)
@@ -219,9 +214,44 @@ def test_grid_order_is_a_partial_order(rng):
     assert ml.validate(p).ok
 
 
-def test_grid_size_cap():
-    with pytest.raises(SizeCapError):
-        ml.grid_instance(3, 20, 1.0, ml.orthant(3), size_cap=100)
+def test_grid_point_limit_refuses_before_allocating():
+    cone = ml.orthant(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="exceeds 2048 points"):
+            ml.grid_instance(2, 10**6, 1.0, cone)
+        with pytest.raises(SizeCapError):
+            ml.grid_instance(10**9, 3, 1.0, cone)  # no 3**(10**9) is taken
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_grid_point_limit_counts_side_to_the_dim(monkeypatch):
+    monkeypatch.setattr(poset_mod, "MAX_GRID_POINTS", 9)
+    assert ml.grid_instance(2, 3, 1.0, ml.orthant(2)).n == 9
+    assert ml.grid_instance(1, 9, 1.0, ml.orthant(1)).n == 9
+    assert ml.grid_instance(5, 1, 1.0, ml.orthant(5)).n == 1
+    for dim, side in [(2, 4), (1, 10), (4, 2)]:
+        with pytest.raises(SizeCapError):
+            ml.grid_instance(dim, side, 1.0, ml.orthant(dim))
+
+
+@pytest.mark.parametrize(
+    "dim, spacing, message",
+    [(0, 1.0, "dim >= 1 and side >= 1"), (2, -1.0, "spacing must be positive")],
+)
+def test_grid_refuses_empty_or_mirrored_grids(dim, spacing, message):
+    # the CLI tests cover side < 1, spacing 0 and dim < 1 through the cone
+    with pytest.raises(StructureError, match=message):
+        ml.grid_instance(dim, 3, spacing, ml.orthant(2))
+
+
+@pytest.mark.parametrize("make", [ml.orthant, ml.trivial_cone])
+def test_named_cones_refuse_negative_dimensions(make):
+    with pytest.raises(StructureError, match="cone dimension must be positive"):
+        make(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_max_ratio_witness_matches_the_reduction_oracle_at_n_300(points):
     else:
         pts = np.array(list(itertools.product(range(15), range(20))), dtype=float)
     p = ml.poset_from_points(pts, ml.orthant(2))
-    found = poset_mod.max_ratio_witness(p, triple_cap=300**3)
+    found = poset_mod.max_ratio_witness(p)
     assert found is not None
     assert _key(found) == reduction_max_ratio(p)
 
