@@ -13,7 +13,6 @@ byte-identical machine output (timing is reported only in human format).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -41,17 +40,6 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(65536), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}")
-    return h.hexdigest()
-
-
 def _round9(obj):
     """Round every float to 9 significant digits, recursively."""
     if isinstance(obj, float):
@@ -76,7 +64,8 @@ def _fmt(x):
 
 
 class Report:
-    """Run report: command, input digests, seed, structured outcome."""
+    """Run report: command, seed, structured outcome and ``inputs``, the
+    SHA-256 of each file read, which the ``files`` loaders fill."""
 
     def __init__(self, command, seed=None):
         self.command = command
@@ -85,9 +74,6 @@ class Report:
         self.outcome = {}
         self.lines = []
         self._t0 = time.monotonic()
-
-    def add_input(self, path):
-        self.inputs[path] = _sha256(path)
 
     def say(self, text):
         self.lines.append(text)
@@ -125,8 +111,9 @@ def _vector(text):
     return v
 
 
-def _target_from_args(args, report):
-    """Build the target space selected by --space and its companion flags."""
+def _target_from_args(args, inputs):
+    """Build the target space selected by --space and its companion flags;
+    a file it reads is digested into ``inputs``."""
     from . import spaces
 
     if args.space == "hilbert":
@@ -138,8 +125,7 @@ def _target_from_args(args, report):
             raise SchemaError("--e must be nonzero")
         e = e / norm
         if args.cone is not None:
-            report.add_input(args.cone)
-            cone = files.load_cone(args.cone)
+            cone = files.load_cone(args.cone, inputs)
         else:
             # Default: the ray cone generated by e itself (e is then
             # automatically in the cone and its dual).
@@ -148,15 +134,15 @@ def _target_from_args(args, report):
     if args.space == "halfspace":
         n = args.n
         if n is None:
-            if args.point is None:
-                raise SchemaError("--space halfspace requires --n or --point")
-            n = len(_vector(args.point))
+            point = getattr(args, "point", None)  # certify takes no --point
+            if point is None:
+                raise SchemaError("--space halfspace requires --n (busemann: or --point)")
+            n = len(_vector(point))
         return spaces.HalfSpaceHn(n=n)
     if args.space == "tree":
         if args.tree is None:
             raise SchemaError("--space tree requires --tree")
-        report.add_input(args.tree)
-        return files.load_tree(args.tree)
+        return files.load_tree(args.tree, inputs)
     raise SchemaError(f"unknown space {args.space!r}")
 
 
@@ -198,8 +184,7 @@ def _witness_doc(poset, w):
 
 
 def _cmd_validate(args, report):
-    report.add_input(args.poset)
-    poset = files.load_poset(args.poset)
+    poset = files.load_poset(args.poset, report.inputs)
     ver = poset_mod.validate(poset, tol=args.tol)
     report.outcome = {
         "ok": ver.ok,
@@ -217,8 +202,7 @@ def _cmd_validate(args, report):
 
 
 def _cmd_radial(args, report):
-    report.add_input(args.poset)
-    poset = files.load_poset(args.poset)
+    poset = files.load_poset(args.poset, report.inputs)
     w = poset_mod.check_radiality(poset, tol=args.tol)
     if w is None:
         report.outcome = {"radial": True}
@@ -249,8 +233,7 @@ def _result_doc(res):
 def _cmd_extend(args, report):
     from . import extension
 
-    report.add_input(args.problem)
-    problem = files.load_problem(args.problem, tol=args.tol)
+    problem = files.load_problem(args.problem, args.tol, report.inputs)
     if args.mode == "interpolate":
         positions = []
         for lab in problem.domain.labels:
@@ -299,7 +282,7 @@ def _cmd_extend(args, report):
 def _cmd_busemann(args, report):
     from . import spaces
 
-    target = _target_from_args(args, report)
+    target = _target_from_args(args, report.inputs)
     if args.point is None:
         raise SchemaError("busemann requires --point")
     if args.space == "tree":
@@ -327,9 +310,8 @@ def _cmd_busemann(args, report):
 def _cmd_certify(args, report):
     from . import obstruction
 
-    report.add_input(args.poset)
-    poset = files.load_poset(args.poset)
-    target = _target_from_args(args, report)
+    poset = files.load_poset(args.poset, report.inputs)
+    target = _target_from_args(args, report.inputs)
     bound, cert = obstruction.e2_lower_bound(poset, target, tol=args.tol)
     if cert is None:
         report.outcome = {"radial": True, "bound": 1.0}
@@ -353,8 +335,7 @@ def _cmd_estimate_e(args, report):
     from . import extension
 
     max_iter = extension.MAX_ROUNDS if args.max_iter is None else args.max_iter
-    report.add_input(args.problem)
-    problem = files.load_problem(args.problem, tol=args.tol)
+    problem = files.load_problem(args.problem, args.tol, report.inputs)
     if args.samples:
         # f = sum_g u_g g/|g| over the k generators g of the target cone,
         # each u_g order-preserving and (1/k)-Lipschitz: ordered points then
@@ -410,30 +391,24 @@ def _cmd_estimate_e(args, report):
     return EXIT_OK if est.conclusive else EXIT_NUMERIC
 
 
-def _cmd_gen(args, report):
-    if args.kind == "grid":
-        cone = cones.orthant(args.dim, norm=args.norm)
-        poset = poset_mod.grid_instance(args.dim, args.side, args.spacing, cone)
-        doc = files.poset_to_dict(poset)
-        files.dump(doc, args.out)
-        report.outcome = {"kind": "grid", "points": poset.n, "out": args.out}
-        report.say(f"wrote {poset.n}-point grid poset to {args.out}")
-        return EXIT_OK
-    if args.kind == "tree":
-        from . import trees
+def _cmd_gen_grid(args, report):
+    poset_mod.check_grid_size(args.dim, args.side)  # before the dim x dim cone
+    cone = cones.orthant(args.dim, norm=args.norm)
+    poset = poset_mod.grid_instance(args.dim, args.side, args.spacing, cone)
+    files.dump(files.poset_to_dict(poset), args.out)
+    report.outcome = {"kind": "grid", "points": poset.n, "out": args.out}
+    report.say(f"wrote {poset.n}-point grid poset to {args.out}")
+    return EXIT_OK
 
-        rng = np.random.default_rng(args.seed)
-        tree = trees.random_tree(args.vertices, rng)
-        doc = files.tree_to_dict(tree)
-        files.dump(doc, args.out)
-        report.outcome = {
-            "kind": "tree",
-            "vertices": len(tree.vertices),
-            "out": args.out,
-        }
-        report.say(f"wrote {len(tree.vertices)}-vertex tree to {args.out}")
-        return EXIT_OK
-    raise SchemaError(f"unknown generator {args.kind!r}")
+
+def _cmd_gen_tree(args, report):
+    from . import trees
+
+    tree = trees.random_tree(args.vertices, np.random.default_rng(args.seed))
+    files.dump(files.tree_to_dict(tree), args.out)
+    report.outcome = {"kind": "tree", "vertices": len(tree.vertices), "out": args.out}
+    report.say(f"wrote {len(tree.vertices)}-vertex tree to {args.out}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +417,15 @@ def _cmd_gen(args, report):
 
 
 def _build_parser():
+    # every command takes --seed and --format; each takes only the other
+    # flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=cones.DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("human", "machine"), default="human")
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    tol.add_argument("--tol", type=float, default=cones.DEFAULT_TOL)
+    rounds = argparse.ArgumentParser(add_help=False, parents=[tol])
+    rounds.add_argument(
         "--max-iter",
         type=int,
         default=None,
@@ -462,15 +441,15 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("validate", parents=[common], help="check metric + order axioms")
+    p = sub.add_parser("validate", parents=[tol], help="check metric + order axioms")
     p.add_argument("poset")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("radial", parents=[common], help="radiality check with witness")
+    p = sub.add_parser("radial", parents=[tol], help="radiality check with witness")
     p.add_argument("poset")
     p.set_defaults(func=_cmd_radial)
 
-    p = sub.add_parser("extend", parents=[common], help="solve an extension problem")
+    p = sub.add_parser("extend", parents=[rounds], help="solve an extension problem")
     p.add_argument("problem")
     p.add_argument(
         "--mode",
@@ -488,20 +467,20 @@ def _build_parser():
         p.add_argument("--n", type=int, default=None, help="dimension (halfspace)")
         p.add_argument("--tree", default=None, help="tree file")
 
-    p = sub.add_parser("busemann", parents=[common], help="evaluate a Busemann function")
+    p = sub.add_parser("busemann", parents=[tol], help="evaluate a Busemann function")
     add_space_flags(p)
     p.add_argument("--point", default=None)
     p.add_argument("--limit", action="store_true", help="also run the limit oracle")
     p.set_defaults(func=_cmd_busemann)
 
-    p = sub.add_parser("certify", parents=[common], help="obstruction certificate")
+    p = sub.add_parser("certify", parents=[tol], help="obstruction certificate")
     p.add_argument("poset")
     add_space_flags(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
         "estimate-e",
-        parents=[common],
+        parents=[rounds],
         help="minimal Lipschitz constant (exact; a cutting-plane bracket for L2 vector targets)",
     )
     p.add_argument("problem")
@@ -513,22 +492,26 @@ def _build_parser():
     )
     p.set_defaults(func=_cmd_estimate_e)
 
-    p = sub.add_parser("gen", parents=[common], help="write generated instances")
-    p.add_argument("kind", choices=("grid", "tree"))
+    gen = sub.add_parser("gen", help="write generated instances")
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("grid", parents=[common], help="lattice poset ordered by the orthant")
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--side", type=int, default=2)
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
+    p.set_defaults(func=_cmd_gen_grid)
+    p = kinds.add_parser("tree", parents=[common], help="random R-tree with a marked end")
+    p.add_argument("--out", required=True)
     p.add_argument("--vertices", type=int, default=10)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen_tree)
 
     return parser
 
 
 def _flag_error(args):
     """Why --tol or --samples is out of range, or None."""
-    if not 0.0 <= args.tol < np.inf:
+    if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
         return f"--tol must be finite and at least 0, got {args.tol}"
     if getattr(args, "samples", 0) < 0:
         return f"--samples must be at least 0, got {args.samples}"

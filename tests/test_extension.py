@@ -16,6 +16,7 @@ from conftest import (
     random_metric_poset,
     random_pointed_cone,
     random_radial_poset,
+    round_cap_problem,
 )
 
 SQRT25 = math.sqrt(2.5)
@@ -764,6 +765,28 @@ def test_scalar_route_raises_when_a_chain_blocks_every_K(order, target):
         ml.min_lipschitz_lp(p)
     for K in (1.0, 2.0, 1e6):
         assert ml.feasibility_at_K(p, K).status == extension.INFEASIBLE
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_vector_route_raises_when_a_chain_blocks_every_K(norm):
+    # a >= c <= b on the trivial order forces F(a) = F(c) = F(b), but
+    # f(a) != f(b): the LP rounds find no K at all
+    domain = ml.FiniteMetricPoset(
+        labels=("a", "b", "c"), dist=1.0 - np.eye(3), order={(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)}
+    )
+    p = ml.ExtensionProblem(
+        domain=domain, subset=(0, 1), target=ml.trivial_cone(2, norm), f=[[0.0, 0.0], [1.0, 0.0]]
+    )
+    with pytest.raises(ConvergenceError, match="no Lipschitz constant"):
+        ml.estimate_e(p)
+    assert ml.feasibility_at_K(p, 5.0).status == extension.INFEASIBLE
+
+
+def test_l2_route_is_unknown_at_the_round_cap():
+    p = round_cap_problem()
+    K = 1.001 * ml.estimate_e(p).lo
+    assert ml.feasibility_at_K(p, K, max_iter=1).status == extension.UNKNOWN
+    assert ml.feasibility_at_K(p, K).status == extension.FEASIBLE
 
 
 def test_scalar_route_reversed_ray_mirrors_the_scalar_order():

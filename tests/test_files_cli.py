@@ -1,8 +1,12 @@
 """Instance-file schemas and the command-line front end."""
 
+import builtins
+import collections
 import json
 import math
 import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +15,14 @@ import monolip as ml
 from monolip import cli, files
 from monolip.errors import SchemaError
 
+from conftest import round_cap_problem
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 INSTANCES = os.path.join(HERE, os.pardir, "instances")
 WITNESS = os.path.join(INSTANCES, "witness_poset.json")
 WITNESS_PROBLEM = os.path.join(INSTANCES, "witness_scalar_problem.json")
 CHAIN_PROBLEM = os.path.join(INSTANCES, "chain_problem.json")
+CHAIN_POSET = os.path.join(INSTANCES, "chain_poset.json")
 TRIPOD = os.path.join(INSTANCES, "tripod_tree.json")
 
 
@@ -418,3 +425,142 @@ def test_cli_gen_grid_refuses_bad_shapes(flags, message, tmp_path, capsys):
     argv = ["gen", "grid", "--out", str(out), *flags]
     assert _usage_error(argv, capsys) == f"error: {message}"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the files a report names, the flags each command reads, the solver states
+# ---------------------------------------------------------------------------
+
+
+def _cone_file(tmp_path):
+    path = str(tmp_path / "cone.json")
+    files.dump(files.cone_to_dict(ml.orthant(2)), path)
+    return path
+
+
+OPENED_ONCE = {
+    "validate": lambda tmp_path: ["validate", WITNESS],
+    "extend-scalar": lambda tmp_path: ["extend", WITNESS_PROBLEM],
+    "extend-interpolate": lambda tmp_path: ["extend", CHAIN_PROBLEM, "--mode", "interpolate"],
+    "certify-cone": lambda tmp_path: [
+        "certify", WITNESS, "--space", "hilbert", "--e", "1,1", "--cone", _cone_file(tmp_path)
+    ],
+}
+
+
+@pytest.mark.parametrize("make_argv", OPENED_ONCE.values(), ids=OPENED_ONCE.keys())
+def test_cli_opens_each_input_file_once_and_digests_it(make_argv, tmp_path, monkeypatch, capsys):
+    argv = make_argv(tmp_path) + ["--format", "machine"]
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".json"):
+            opened[file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    cli.dispatch(argv)
+    monkeypatch.undo()
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert dict(opened) == dict.fromkeys(inputs, 1)
+
+
+def test_cli_inputs_digest_the_poset_a_problem_references(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(WITNESS_PROBLEM, "problem.json")  # names "witness_poset.json"
+    shutil.copy(WITNESS, "witness_poset.json")
+    argv = ["extend", "problem.json", "--format", "machine"]
+    assert cli.dispatch(argv) == 1
+    before = json.loads(capsys.readouterr().out)["inputs"]
+    with open("witness_poset.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["dist"] = [[2.0 * x for x in row] for row in doc["dist"]]
+    files.dump(doc, "witness_poset.json")
+    assert cli.dispatch(argv) == 0  # twice the distances: K = 1 now extends
+    after = json.loads(capsys.readouterr().out)["inputs"]
+    assert sorted(before) == sorted(after) == ["problem.json", "witness_poset.json"]
+    assert before["problem.json"] == after["problem.json"]
+    assert before["witness_poset.json"] != after["witness_poset.json"]
+
+
+def test_cli_certify_halfspace_needs_no_ray_point_past_e700(tmp_path, capsys):
+    # the anchors sit 1000 * sqrt 5 apart, and e^t overflows past t = 700
+    big = str(tmp_path / "big.json")
+    argv = ["gen", "grid", "--dim", "2", "--side", "3", "--spacing", "1000", "--out", big]
+    assert cli.dispatch(argv) == 0
+    capsys.readouterr()
+    bounds = []
+    for space in (["--space", "halfspace", "--n", "2"], ["--space", "hilbert", "--e", "1,1"]):
+        assert cli.dispatch(["certify", big, *space, "--format", "machine"]) == 1
+        bounds.append(json.loads(capsys.readouterr().out)["outcome"]["bound"])
+    assert bounds == [2.23606798, 2.23606798]
+
+
+@pytest.mark.parametrize("command", [["certify", WITNESS], ["busemann"]])
+def test_cli_halfspace_without_its_dimension_is_a_usage_error(command, capsys):
+    # certify has no --point to take the dimension from
+    line = _usage_error([*command, "--space", "halfspace"], capsys)
+    assert line == "error: --space halfspace requires --n (busemann: or --point)"
+
+
+def test_cli_certify_on_a_radial_poset(capsys):
+    argv = ["certify", CHAIN_POSET, "--space", "hilbert", "--e", "1,1", "--format", "machine"]
+    assert cli.dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == {"bound": 1.0, "radial": True}
+
+
+def test_cli_gen_grid_refuses_a_dim_past_the_limit_before_allocating(tmp_path, capsys):
+    # one point in any dim, but the orthant alone holds dim^2 entries
+    out = tmp_path / "grid.json"
+    tracemalloc.start()
+    try:
+        line = _usage_error(["gen", "grid", "--side", "1", "--dim", "2049", "--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line == "error: a grid in dim 2049 exceeds the dimension limit 2048"
+    assert not out.exists()
+    assert peak < 100_000
+
+
+UNREAD_FLAGS = {
+    "validate-max-iter": ["validate", WITNESS, "--max-iter", "3"],
+    "radial-max-iter": ["radial", WITNESS, "--max-iter", "3"],
+    "busemann-max-iter": ["busemann", "--space", "hilbert", "--e", "0,1", "--point", "3,4",
+                          "--max-iter", "3"],
+    "certify-max-iter": ["certify", WITNESS, "--space", "hilbert", "--e", "1,1", "--max-iter", "3"],
+    "gen-grid-max-iter": ["gen", "grid", "--max-iter", "3"],
+    "gen-grid-tol": ["gen", "grid", "--tol", "0.1"],
+    "gen-grid-vertices": ["gen", "grid", "--vertices", "5"],
+    "gen-tree-dim": ["gen", "tree", "--vertices", "5", "--dim", "9"],
+    "gen-tree-side": ["gen", "tree", "--side", "3"],
+    "gen-tree-spacing": ["gen", "tree", "--spacing", "2"],
+    "gen-tree-norm": ["gen", "tree", "--norm", "l1"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_cli_refuses_a_flag_its_command_does_not_read(argv, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    assert cli.dispatch(argv) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments" in stderr
+    assert not out.exists()
+
+
+def test_cli_extend_feasible_is_unknown_at_the_round_cap(tmp_path):
+    p = round_cap_problem()
+    path = str(tmp_path / "problem.json")
+    doc = {
+        "poset": files.poset_to_dict(p.domain),
+        "subset": list(p.subset),
+        "target": {"kind": "cone", "cone": files.cone_to_dict(p.target)},
+        "f": p.f.tolist(),
+    }
+    files.dump(doc, path)
+    argv = ["extend", path, "--mode", "feasible", "--K", repr(1.001 * ml.estimate_e(p).lo)]
+    assert cli.dispatch(argv + ["--max-iter", "1"]) == 3
+    assert cli.dispatch(argv) == 0

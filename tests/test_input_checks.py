@@ -256,9 +256,9 @@ def _ray():
     return ml.HilbertRay(dim=2, e=np.array([1.0, 0.0]), cone=ml.orthant(2))
 
 
-def _certificate():
+def _certificate(build=ml.certify_obstruction):
     poset = _witness_poset()
-    return ml.certify_obstruction(poset, ml.check_radiality(poset), _ray())
+    return build(poset, ml.check_radiality(poset), _ray())
 
 
 ARRAY_HOLDERS = {
@@ -268,7 +268,7 @@ ARRAY_HOLDERS = {
     "ExtensionProblem": lambda: _scalar_problem([[1.0], [0.0]]),
     "ExtensionResult": lambda: ml.feasibility_at_K(_scalar_problem([[1.0], [0.0]]), 2.0),
     "MoreauSplit": lambda: ml.moreau_split(ml.orthant(2), np.array([1.0, -1.0])),
-    "TestMap": lambda: _certificate().test_map,
+    "TestMap": lambda: _certificate(ml.build_test_map),
     "ObstructionCertificate": _certificate,
 }
 
