@@ -5,9 +5,10 @@ Subcommands: validate, radial, extend, busemann, certify, estimate-e, gen.
 Exit codes: 0 success / feasible, 1 witness found / infeasible (informative
 negative), 2 usage or input error, 3 numeric non-convergence.
 
-``--format machine`` emits a single JSON document on stdout with all floats
-rounded to 9 significant digits; identical inputs and seed reproduce
-byte-identical machine output (timing is reported only in human format).
+``--format machine`` emits a single strict JSON document on stdout with all
+floats rounded to 9 significant digits and every float that is not finite
+written as null; identical inputs and seed reproduce byte-identical machine
+output (timing is reported only in human format).
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ EXIT_NUMERIC = 3
 
 
 def _round9(obj):
-    """Round every float to 9 significant digits, recursively."""
+    """Round every float to 9 significant digits, recursively; a float that
+    is not finite becomes None (JSON null)."""
     if isinstance(obj, float):
-        return float(format(obj, ".9g"))
+        return float(format(obj, ".9g")) if np.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,7 +90,7 @@ class Report:
             }
             if self.seed is not None:
                 doc["seed"] = self.seed
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            print(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False))
         else:
             for line in self.lines:
                 print(line)
@@ -139,11 +141,9 @@ def _target_from_args(args, inputs):
                 raise SchemaError("--space halfspace requires --n (busemann: or --point)")
             n = len(_vector(point))
         return spaces.HalfSpaceHn(n=n)
-    if args.space == "tree":
-        if args.tree is None:
-            raise SchemaError("--space tree requires --tree")
-        return files.load_tree(args.tree, inputs)
-    raise SchemaError(f"unknown space {args.space!r}")
+    if args.tree is None:  # --space tree, the last choice
+        raise SchemaError("--space tree requires --tree")
+    return files.load_tree(args.tree, inputs)
 
 
 def _tree_point(tree, text):
@@ -261,13 +261,11 @@ def _cmd_extend(args, report):
         res = extension.scalar_extend(problem)
     elif args.mode == "componentwise":
         res = extension.componentwise_extend(problem)
-    elif args.mode == "feasible":
+    else:  # feasible
         if args.K is None:
             raise SchemaError("--mode feasible requires --K")
         max_iter = extension.MAX_ROUNDS if args.max_iter is None else args.max_iter
         res = extension.feasibility_at_K(problem, args.K, max_iter=max_iter)
-    else:
-        raise SchemaError(f"unknown mode {args.mode!r}")
     report.outcome = _result_doc(res)
     report.say(f"status: {res.status}, K = {_fmt(res.K)}")
     for lab, v in zip(problem.domain.labels, np.atleast_2d(res.values)):
@@ -287,11 +285,10 @@ def _cmd_busemann(args, report):
         raise SchemaError("busemann requires --point")
     if args.space == "tree":
         point = _tree_point(target, args.point)
-        label = args.point
     else:
         point = _vector(args.point)
         target.check_point(point)
-        label = args.point
+    label = args.point
     value = float(target.busemann(point))
     report.outcome = {"space": args.space, "point": label, "busemann": value}
     report.say(f"busemann({label}) = {_fmt(value)}")

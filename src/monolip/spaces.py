@@ -142,18 +142,21 @@ class HalfSpaceHn:
         return p
 
     def ray_gap(self, a, t):
-        """d(a, sigma(t)) - t without forming e^t.
+        """d(a, sigma(t)) - t without forming e^t, in logs.
 
-        With w = ||x||^2 + h^2 and u = (w e^{-2t} + 1) / (2h), the gap is
-        log(u + sqrt(u^2 - e^{-2t})), exact for every t >= 0.
+        With w = ||a||^2, h the height and u = (w e^{-2t} + 1) / (2h), the
+        gap is log(u + sqrt(u^2 - e^{-2t})) = log u + log1p(sqrt(1 - r)),
+        r = e^{-2t} / u^2 <= 1. log w is taken with the norm scaled by
+        max |a_i|, so no intermediate overflows for any finite point and
+        any t >= 0.
         """
         a = self.check_point(a)
-        h = float(a[-1])
-        w = float(a @ a)
         t = float(t)
-        e2t = math.exp(-2.0 * t) if t < 400.0 else 0.0
-        u = (w * e2t + 1.0) / (2.0 * h)
-        return math.log(u + math.sqrt(max(u * u - e2t, 0.0)))
+        scale = float(np.max(np.abs(a)))
+        log_w = 2.0 * math.log(scale) + math.log(float(np.sum((a / scale) ** 2)))
+        log_u = float(np.logaddexp(log_w - 2.0 * t, 0.0)) - math.log(2.0) - math.log(float(a[-1]))
+        r = math.exp(-2.0 * (t + log_u))
+        return log_u + math.log1p(math.sqrt(max(1.0 - r, 0.0)))
 
     def busemann(self, a):
         """Closed form B(a) = -log(height)."""
@@ -200,6 +203,8 @@ def busemann_limit(space, a, t_schedule=None, tol=DEFAULT_TOL):
     partials = []
     for t in schedule:
         partials.append(float(space.ray_gap(a, t)))
+        if not math.isfinite(partials[-1]):
+            raise NumericInstabilityError(f"Busemann partial value at T={t} is not finite")
     for prev, cur in zip(partials, partials[1:]):
         if cur > prev + max(tol, 1e-12 * (1.0 + abs(prev))):
             raise NumericInstabilityError(

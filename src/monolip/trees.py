@@ -1,23 +1,31 @@
 """Metric trees with a designated geodesic ray.
 
 A tree is a finite weighted combinatorial tree plus a root (the ray
-basepoint) and an ``end`` vertex; the root-to-end path, with the portion
-beyond ``end`` treated as unbounded, is the ray. Points are vertices, edge
-points, or points on the unbounded tail:
+basepoint) and an ``end`` vertex; the root-to-end path, continued beyond
+``end`` by an unbounded tail, is the ray. Points are given as
 
 * a vertex id,
 * ``("edge", u, v, offset)`` at distance ``offset`` from ``u`` along the
   edge between adjacent vertices ``u`` and ``v``,
 * ``("ray", t)`` at ray parameter ``t >= 0``.
 
-The Busemann function has the exact closed form d(a, m_a) - t_a, where
-t_a is the hitting time of the geodesic from a onto the ray and m_a the
-merge point; both come from two distance evaluations, no limits needed.
+``canon`` turns each into its one ``Point(vertex, height)``: the point at
+distance ``height`` above ``vertex`` on the edge toward its parent, the tree
+being rooted at the ray's basepoint. At ``end`` a negative height is that far
+out on the tail. With D the depth (the distance from the root), a point has
+depth D(vertex) - height, and every question has a closed form in D and the
+meet m of two points, the deepest point on both of their paths to the root:
+
+* d(a, b) = (D(a) - D(m)) + (D(b) - D(m));
+* the geodesic from a merges with the ray at m_a, its meet with the tail,
+  at the hitting time t_a = D(m_a), and B(a) = d(a, m_a) - t_a;
+* [a, b] climbs from a to m and then descends to b.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +33,13 @@ from .cones import DEFAULT_TOL
 from .errors import StructureError
 
 _POINT_EQ_TOL = 1e-12
+
+
+class Point(NamedTuple):
+    """A canonical tree point: ``height`` above ``vertex`` toward its parent."""
+
+    vertex: object
+    height: float
 
 
 class RTree:
@@ -35,106 +50,90 @@ class RTree:
         self.edges = [(u, v, float(length)) for u, v, length in edges]
         self.root = root
         self.end = end
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
+        adj = {v: [] for v in self.vertices}
+        if len(adj) != len(self.vertices):
             raise StructureError("duplicate vertex ids")
-        if root not in self._index or end not in self._index:
+        if root not in adj or end not in adj:
             raise StructureError("root and end must be vertices")
         if root == end:
             raise StructureError("root and end must differ")
-        self._adj = {v: [] for v in self.vertices}
         for u, v, length in self.edges:
-            if u not in self._index or v not in self._index:
+            if u not in adj or v not in adj:
                 raise StructureError(f"edge ({u}, {v}) references unknown vertex")
             if not 0.0 < length < np.inf:  # NaN fails both comparisons
                 raise StructureError(f"edge ({u}, {v}) must have positive finite length")
-            self._adj[u].append((v, length))
-            self._adj[v].append((u, length))
-        self._edge_set = {frozenset((u, v)): length for u, v, length in self.edges}
-        if len(self._edge_set) != len(self.edges):
+            adj[u].append((v, length))
+            adj[v].append((u, length))
+        if len({frozenset((u, v)) for u, v, _ in self.edges}) != len(self.edges):
             raise StructureError("duplicate edges")
-        self._check_tree()
-        self._parent, self._depth_len = self._bfs_tree(root)
+        if len(self.edges) != len(self.vertices) - 1:
+            raise StructureError("edges not acyclic")
+        # One walk from the root, parents first: each vertex's parent, hop
+        # level, depth and the length of the edge above it.
+        self._parent, self._level = {root: None}, {root: 0}
+        self._depth, self._above = {root: 0.0}, {root: np.inf}
+        walk = [root]
+        for u in walk:
+            for v, length in adj[u]:
+                if v not in self._parent:
+                    self._parent[v], self._level[v] = u, self._level[u] + 1
+                    self._depth[v], self._above[v] = self._depth[u] + length, length
+                    walk.append(v)
+        if len(walk) != len(self.vertices):
+            raise StructureError("tree is not connected")
         path = [end]
         while path[-1] != root:
             path.append(self._parent[path[-1]])
-        path.reverse()
-        self.ray_vertices = path
-        self._ray_param = {v: self._depth_len[v] for v in path}
-        self.ray_length = self._depth_len[end]
-        self._dist_rows = [None] * len(self.vertices)
-        self._hitting_cache = {}
+        self.ray_vertices = path[::-1]
+        self.ray_length = self._depth[end]
+        self._ray_depths = [self._depth[v] for v in self.ray_vertices]
+        # the deepest ray vertex on each vertex's path to the root
+        on_ray = set(path)
+        self._merge = {}
+        for v in walk:
+            self._merge[v] = v if v in on_ray else self._merge[self._parent[v]]
 
-    def _check_tree(self):
-        if len(self.edges) != len(self.vertices) - 1:
-            raise StructureError("edges not acyclic")
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != len(self.vertices):
-            raise StructureError("tree is not connected")
-
-    def _bfs_tree(self, start):
-        parent = {start: None}
-        dist = {start: 0.0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, length in self._adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    dist[v] = dist[u] + length
-                    queue.append(v)
-        return parent, dist
-
-    # -- vertex-level metric -------------------------------------------------
-
-    def vertex_distance(self, u, v):
-        return self._dist_row(self._index[u])[self._index[v]]
-
-    def _dist_row(self, i):
-        """Distances from vertex number i to every vertex, in ``_index`` order."""
-        row = self._dist_rows[i]
-        if row is None:
-            _, dist = self._bfs_tree(self.vertices[i])
-            row = self._dist_rows[i] = [dist[v] for v in self.vertices]
-        return row
+    def _child(self, u, v):
+        """The lower end of the edge between u and v."""
+        if u != self.root and self._parent.get(u) == v:
+            return u
+        if v != self.root and self._parent.get(v) == u:
+            return v
+        raise StructureError(f"({u}, {v}) is not an edge")
 
     def edge_length(self, u, v):
-        key = frozenset((u, v))
-        if key not in self._edge_set:
-            raise StructureError(f"({u}, {v}) is not an edge")
-        return self._edge_set[key]
+        return self._above[self._child(u, v)]
 
     # -- point handling ------------------------------------------------------
 
     def canon(self, p):
-        """Canonical point form: ("V", v) | ("E", u, v, off) | ("B", t)."""
-        if isinstance(p, tuple) and p and p[0] in ("V", "E", "B"):
+        """The ``Point`` form of a vertex id, edge point or ray point."""
+        if isinstance(p, Point):
             return p
         if not isinstance(p, tuple):
-            if p not in self._index:
+            if p not in self._depth:
                 raise StructureError(f"unknown vertex {p!r}")
-            return ("V", p)
+            return Point(p, 0.0)
         if p[0] == "edge":
             _, u, v, off = p
-            length = self.edge_length(u, v)
+            child = self._child(u, v)
+            length = self._above[child]
             off = float(off)
             if off < -_POINT_EQ_TOL or off > length + _POINT_EQ_TOL:
                 raise StructureError(f"offset {off} outside edge ({u}, {v})")
-            if off <= _POINT_EQ_TOL:
-                return ("V", u)
-            if off >= length - _POINT_EQ_TOL:
-                return ("V", v)
-            return ("E", u, v, off)
+            return self._snap(child, off if child == u else length - off)
         if p[0] == "ray":
-            return self.ray_point(float(p[1]))
+            return self.ray_point(p[1])
         raise StructureError(f"unrecognized point {p!r}")
+
+    def _snap(self, v, h):
+        """Point(v, h), moved to the vertex at either end of the edge above v
+        when within ``_POINT_EQ_TOL`` of it."""
+        if abs(h) <= _POINT_EQ_TOL:
+            return Point(v, 0.0)
+        if h >= self._above[v] - _POINT_EQ_TOL:
+            return Point(self._parent[v], 0.0)
+        return Point(v, h)
 
     def ray_point(self, t):
         """The point sigma(t) on the ray."""
@@ -143,52 +142,30 @@ class RTree:
             raise StructureError("ray parameter must be nonnegative")
         t = max(t, 0.0)
         if t > self.ray_length + _POINT_EQ_TOL:
-            return ("B", t)
-        prev = self.root
-        for v in self.ray_vertices[1:]:
-            tv = self._ray_param[v]
-            if t <= tv + _POINT_EQ_TOL:
-                return self.canon(("edge", prev, v, t - self._ray_param[prev]))
-            prev = v
-        return ("V", self.end)
+            return Point(self.end, self.ray_length - t)
+        v = self.ray_vertices[bisect_left(self._ray_depths, t - _POINT_EQ_TOL, 1)]
+        return self._snap(v, self._depth[v] - t)
 
-    def _on_ray_param(self, p):
-        """Ray parameter of a canonical point, or None if it is off the ray."""
-        if p[0] == "B":
-            return p[1]
-        if p[0] == "V":
-            return self._ray_param.get(p[1])
-        _, u, v, off = p
-        tu = self._ray_param.get(u)
-        tv = self._ray_param.get(v)
-        if tu is None or tv is None:
-            return None
-        return tu + off * (1.0 if tv > tu else -1.0)
-
-    def _anchors(self, p):
-        """(vertex number, weight) pairs through which every path from p passes."""
-        if p[0] == "V":
-            return ((self._index[p[1]], 0.0),)
-        if p[0] == "B":
-            return ((self._index[self.end], p[1] - self.ray_length),)
-        _, u, v, off = p
-        return ((self._index[u], off), (self._index[v], self.edge_length(u, v) - off))
+    def _legs(self, a, b):
+        """(d(a, m), d(b, m)) for canonical a and b and their meet m."""
+        (u, hu), (w, hw), level, parent = a, b, self._level, self._parent
+        x, y = u, w
+        while level[x] > level[y]:
+            x = parent[x]
+        while level[y] > level[x]:
+            y = parent[y]
+        while x != y:
+            x, y = parent[x], parent[y]
+        # m is x unless a or b lies on the edge above x or on the tail
+        top, depth = max(hu if u == x else 0.0, hw if w == x else 0.0), self._depth
+        return (depth[u] - depth[x]) + (top - hu), (depth[w] - depth[x]) + (top - hw)
 
     def distance(self, a, b):
         return self._distance(self.canon(a), self.canon(b))
 
     def _distance(self, a, b):
         """``distance`` between canonical points."""
-        if a[0] == "B" and b[0] == "B":
-            return abs(a[1] - b[1])
-        if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
-            offa = a[3] if a[1] == b[1] else self.edge_length(*a[1:3]) - a[3]
-            return abs(offa - b[3])
-        at_a, at_b = self._anchors(a), self._anchors(b)
-        if len(at_a) == len(at_b) == 1:  # vertices and tail points
-            (ia, wa), (ib, wb) = at_a[0], at_b[0]
-            return wa + self._dist_row(ia)[ib] + wb
-        return min(wa + self._dist_row(ia)[ib] + wb for ia, wa in at_a for ib, wb in at_b)
+        return sum(self._legs(a, b))
 
     def same_point(self, a, b, tol=_POINT_EQ_TOL):
         return self.distance(a, b) <= tol
@@ -196,27 +173,12 @@ class RTree:
     # -- ray geometry ----------------------------------------------------------
 
     def hitting(self, a):
-        """(t_a, m_a, d(a, m_a)): where the geodesic from a merges with the ray.
-
-        Computed once per vertex and kept, like the vertex distances."""
-        return self._hitting(self.canon(a))
-
-    def _hitting(self, p):
-        """``hitting`` of a canonical point."""
-        if p[0] == "V" and p[1] in self._hitting_cache:
-            return self._hitting_cache[p[1]]
-        t = self._on_ray_param(p)
-        if t is not None:
-            hit = (t, p, 0.0)
-        else:
-            dr = self._distance(p, ("V", self.root))
-            big_t = self.ray_length + 1.0 + dr
-            gap = self._distance(p, ("B", big_t))
-            t_a = 0.5 * (dr + big_t - gap)
-            hit = (t_a, self.ray_point(t_a), dr - t_a)
-        if p[0] == "V":
-            self._hitting_cache[p[1]] = hit
-        return hit
+        """(t_a, m_a, d(a, m_a)): where the geodesic from a merges with the ray."""
+        p = self.canon(a)
+        r = self._merge[p.vertex]
+        if r == p.vertex:  # p is on the ray
+            return self._depth[r] - p.height, p, 0.0
+        return self._depth[r], Point(r, 0.0), (self._depth[p.vertex] - self._depth[r]) - p.height
 
     def busemann(self, a):
         """Closed form B(a) = d(a, m_a) - t_a."""
@@ -234,7 +196,8 @@ class RTree:
         ``tol`` is ignored and kept only for the signature the other spaces
         share (``spaces.ray_order`` passes it).
         """
-        return self._on_ray_param(self.canon(a))
+        t_a, _, d_am = self.hitting(a)
+        return t_a if d_am == 0.0 else None  # exactly 0.0 only on the ray
 
     # -- the hereditary partial order -------------------------------------------
 
@@ -242,9 +205,8 @@ class RTree:
         """a >= b iff a lies on [b, sigma(t)] for some t (path additivity)."""
         a = self.canon(a)
         b = self.canon(b)
-        t_a, _, _ = self._hitting(a)
-        t_b, _, _ = self._hitting(b)
-        far = ("B", max(t_a, t_b) + 1.0)
+        t = max(self.hitting(a)[0], self.hitting(b)[0], self.ray_length) + 1.0
+        far = Point(self.end, self.ray_length - t)
         lhs = self._distance(b, a) + self._distance(a, far)
         rhs = self._distance(b, far)
         return abs(lhs - rhs) <= tol
@@ -258,66 +220,24 @@ class RTree:
 
     # -- geodesics ---------------------------------------------------------------
 
-    def _vertex_path(self, u, v):
-        """Vertex sequence of the tree path from u to v."""
-        # climb both vertices to the root, then splice at the meet point
-        pu = []
-        x = u
-        while x is not None:
-            pu.append(x)
-            x = self._parent[x]
-        pv = []
-        x = v
-        while x is not None:
-            pv.append(x)
-            x = self._parent[x]
-        anc = set(pu)
-        meet = next(x for x in pv if x in anc)
-        left = pu[: pu.index(meet) + 1]
-        right = pv[: pv.index(meet)]
-        return left + right[::-1]
-
     def point_on_geodesic(self, a, b, s):
         """The point at arc length ``s`` from ``a`` along [a, b]."""
         a = self.canon(a)
         b = self.canon(b)
-        total = self._distance(a, b)
+        leg_a, leg_b = self._legs(a, b)
+        total = leg_a + leg_b
         s = float(s)
         if s < -_POINT_EQ_TOL or s > total + _POINT_EQ_TOL:
             raise StructureError("arc length outside the geodesic")
         s = min(max(s, 0.0), total)
-        if a[0] == "B" and b[0] == "B":
-            return self.ray_point(a[1] + s if b[1] > a[1] else a[1] - s)
-        if a[0] == "E" and b[0] == "E" and frozenset(a[1:3]) == frozenset(b[1:3]):
-            _, u, v, off = a
-            off_b = b[3] if b[1] == u else self.edge_length(u, v) - b[3]
-            return self.canon(("edge", u, v, off + s if off_b > off else off - s))
-        # Otherwise the geodesic leaves a through one anchor and enters b
-        # through another, with the tree path between them.
-        (ia, wa), (ib, _) = min(
-            ((at_a, at_b) for at_a in self._anchors(a) for at_b in self._anchors(b)),
-            key=lambda pair: pair[0][1] + self._dist_row(pair[0][0])[pair[1][0]] + pair[1][1],
-        )
-        if s <= wa:
-            return self._toward(a, ia, s)
-        cum = wa
-        path = self._vertex_path(self.vertices[ia], self.vertices[ib])
-        for u, v in zip(path, path[1:]):
-            nxt = cum + self.edge_length(u, v)
-            if s <= nxt + _POINT_EQ_TOL:
-                return self.canon(("edge", u, v, s - cum))
-            cum = nxt
-        return self._toward(b, ib, total - s)
+        return self._climb(a, s) if s <= leg_a else self._climb(b, total - s)
 
-    def _toward(self, p, i, r):
-        """The point at distance r from canonical p toward its anchor vertex
-        number i (r at most the anchor's weight)."""
-        if p[0] == "V":
-            return p
-        if p[0] == "B":
-            return self.ray_point(p[1] - r)
-        _, u, v, off = p
-        return self.canon(("edge", u, v, off - r if self._index[u] == i else off + r))
+    def _climb(self, p, r):
+        """The point at distance r above canonical p on its path to the root."""
+        x, goal = p.vertex, self._depth[p.vertex] - p.height - r
+        while x != self.root and self._depth[self._parent[x]] >= goal:
+            x = self._parent[x]
+        return self._snap(x, self._depth[x] - goal)
 
 
 def tripod(stem=2.0, branch=3.0, ray_tail=5.0):
@@ -332,18 +252,16 @@ def tripod(stem=2.0, branch=3.0, ray_tail=5.0):
 
 def random_tree(n_vertices, rng, min_len=0.5, max_len=2.0):
     """Random recursive tree with uniform edge lengths; the ray runs from
-    vertex 0 to the vertex farthest from it."""
+    vertex 0 to the vertex farthest from it (the least such id)."""
     if n_vertices < 2:
         raise StructureError("need at least two vertices")
     rng = np.random.default_rng(rng)
     edges = []
+    depth = [0.0] * n_vertices
     for i in range(1, n_vertices):
         parent = int(rng.integers(0, i))
         length = float(rng.uniform(min_len, max_len))
         edges.append((parent, i, length))
-    tree = RTree(vertices=list(range(n_vertices)), edges=edges, root=0, end=1)
-    far = max(range(1, n_vertices), key=lambda v: (tree.vertex_distance(0, v), -v))
-    if far != 1:
-        tree = RTree(vertices=list(range(n_vertices)), edges=edges, root=0, end=far)
-    return tree
-
+        depth[i] = depth[parent] + length
+    end = max(range(1, n_vertices), key=lambda v: (depth[v], -v))
+    return RTree(vertices=list(range(n_vertices)), edges=edges, root=0, end=end)

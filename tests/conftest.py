@@ -181,3 +181,109 @@ def round_cap_problem():
         [fit_monotone_lipschitz(domain, subset, raw[:, c], lipschitz=0.5) for c in range(2)]
     )
     return ExtensionProblem(domain=domain, subset=subset, target=cone, f=f)
+
+
+class TreePathOracle:
+    """Distance, Busemann value and order of points of an ``RTree``, found
+    by walking explicit paths rather than by the tree's own formulas.
+
+    Every query point (a vertex id, ``("edge", u, v, offset)`` or
+    ``("ray", t)``) becomes a node of a subdivided copy of the tree, and the
+    ray's tail is cut off at a node ``far`` beyond every query point. Then
+    d(p, q) is the length of the walk from p to q, B(p) = d(p, far) - T for
+    the ray parameter T of ``far``, and p >= q iff p lies on the walk from q
+    to ``far``.
+    """
+
+    def __init__(self, tree, points, tol=1e-12):
+        adj = {v: [] for v in tree.vertices}
+        for u, v, length in tree.edges:
+            adj[u].append((v, length))
+            adj[v].append((u, length))
+        _, parent = self._walk(adj, tree.root)
+        ray = [tree.end]
+        while ray[-1] != tree.root:
+            ray.append(parent[ray[-1]])
+        ray.reverse()
+        # cuts[(u, v, length)] lists (offset from u, point index); tail cuts
+        # are keyed by None with the distance past the end
+        cuts = {}
+        self.node = []
+        for i, p in enumerate(points):
+            if not isinstance(p, tuple):
+                self.node.append(p)
+                continue
+            if p[0] == "edge":
+                _, a, b, off = p
+                edge = next(e for e in tree.edges if {e[0], e[1]} == {a, b})
+                cuts.setdefault(edge, []).append((off if a == edge[0] else edge[2] - off, i))
+            else:
+                rest = p[1]
+                for a, b in zip(ray, ray[1:]):
+                    edge = next(e for e in tree.edges if {e[0], e[1]} == {a, b})
+                    if rest <= edge[2]:
+                        cuts.setdefault(edge, []).append(
+                            (rest if a == edge[0] else edge[2] - rest, i)
+                        )
+                        break
+                    rest -= edge[2]
+                else:
+                    cuts.setdefault(None, []).append((rest, i))
+            self.node.append(None)
+        tail = max([0.0] + [s for s, _ in cuts.get(None, [])]) + 1.0
+        cuts.setdefault(None, []).append((tail, "far"))
+        for edge, marks in cuts.items():
+            u, v, length = edge if edge is not None else (tree.end, "far", tail)
+            chain, at = [u], [0.0]
+            for off, i in sorted(marks, key=lambda m: m[0]):
+                if off <= tol:
+                    node = u
+                elif off >= length - tol:
+                    node = v
+                elif off - at[-1] <= tol:
+                    node = chain[-1]
+                else:
+                    node = ("cut", i)
+                    chain.append(node)
+                    at.append(off)
+                if i != "far":
+                    self.node[i] = node
+            chain.append(v)
+            at.append(length)
+            if edge is not None:
+                adj[u].remove((v, length))
+                adj[v].remove((u, length))
+            for x, y, lx, ly in zip(chain, chain[1:], at, at[1:]):
+                adj.setdefault(x, []).append((y, ly - lx))
+                adj.setdefault(y, []).append((x, ly - lx))
+        self.adj, self._from = adj, {}
+        self.to_far, self.toward_far = self._walk(adj, "far")
+        self.far_param = self.to_far[tree.root]
+
+    @staticmethod
+    def _walk(adj, source):
+        """Distance from ``source`` and the next node toward it, for every node."""
+        dist, step = {source: 0.0}, {source: None}
+        stack = [source]
+        while stack:
+            x = stack.pop()
+            for y, length in adj[x]:
+                if y not in dist:
+                    dist[y], step[y] = dist[x] + length, x
+                    stack.append(y)
+        return dist, step
+
+    def distance(self, i, j):
+        if i not in self._from:
+            self._from[i] = self._walk(self.adj, self.node[i])[0]
+        return self._from[i][self.node[j]]
+
+    def busemann(self, i):
+        return self.to_far[self.node[i]] - self.far_param
+
+    def above(self, i, j):
+        """Whether point i lies on the walk from point j to ``far``."""
+        x = self.node[j]
+        while x is not None and x != self.node[i]:
+            x = self.toward_far[x]
+        return x is not None

@@ -133,6 +133,34 @@ def test_cli_extend_feasible_exit_codes():
     assert cli.dispatch(["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1.6"]) == 0
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_machine_output_is_strict_json_with_null_for_non_finite_values(capsys):
+    # infeasible at K = 1: the residuals of the missing extension are infinite
+    argv = ["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1", "--format", "machine"]
+    assert cli.dispatch(argv) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["outcome"]["residuals"] == {"anchor": None, "lipschitz": None, "order": None}
+    argv = ["busemann", "--space", "halfspace", "--point", "0,1e300", "--limit", "--format", "machine"]
+    assert cli.dispatch(argv) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["outcome"]["limit"] == doc["outcome"]["busemann"] == -690.775528
+
+
+def test_round9_writes_non_finite_floats_as_none():
+    assert cli._round9({"a": [math.inf, -math.inf, math.nan, 1.23456789012]}) == {
+        "a": [None, None, None, 1.23456789]
+    }
+    assert cli._round9(np.float64(np.nan)) is None
+
+
 def test_cli_busemann_tree(capsys):
     code = cli.dispatch(
         ["busemann", "--space", "tree", "--tree", TRIPOD, "--point", "leaf", "--limit"]

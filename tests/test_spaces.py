@@ -8,7 +8,7 @@ import pytest
 
 import monolip as ml
 from monolip import spaces
-from monolip.errors import HypothesisError, StructureError
+from monolip.errors import HypothesisError, NumericInstabilityError, StructureError
 
 from conftest import random_pointed_cone
 
@@ -120,6 +120,25 @@ def test_hn_limit_agreement(rng):
         a = np.append(rng.normal(size=2) * 3, rng.uniform(0.1, 10.0))
         lim = ml.busemann_limit(h, a, t_schedule=schedule)
         assert abs(lim.value - h.busemann(a)) <= 1e-4
+
+
+@pytest.mark.parametrize("point", [[0.0, 1e300], [1e300, 1e-300], [3e307, 1.7e308], [0.0, 1e-300]])
+def test_hn_limit_at_extreme_coordinates_is_finite(point):
+    # the gap is taken in logs with a scaled norm, so ||a||^2 never overflows
+    h = ml.HalfSpaceHn(2)
+    lim = ml.busemann_limit(h, point)
+    assert all(math.isfinite(v) for v in lim.partials)
+    if point[0] == 0.0:  # on the ray's vertical line the limit is exact
+        assert lim.value == pytest.approx(h.busemann(point), rel=1e-12)
+
+
+def test_busemann_limit_refuses_a_partial_that_is_not_finite():
+    class Overflowing:
+        def ray_gap(self, a, t):
+            return math.inf if t > 100.0 else 0.0
+
+    with pytest.raises(NumericInstabilityError, match="not finite"):
+        ml.busemann_limit(Overflowing(), None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 import monolip as ml
 from monolip import trees
 
+from conftest import TreePathOracle
+
 
 @pytest.fixture
 def tri():
@@ -137,7 +139,8 @@ def test_point_on_geodesic_splits_the_distance_for_every_endpoint_kind(rng):
                     b = t.canon(_random_point(t, rng, kind_b))
                     dab = t.distance(a, b)
                     tol = 1e-9 * (1.0 + dab)
-                    hereditary = a[0] != "V" or b[0] != "V"
+                    # vertex pairs are covered by test_geodesic_heredity
+                    hereditary = a.height != 0.0 or b.height != 0.0
                     hereditary = hereditary and t.order_path(a, b)
                     comparable += hereditary
                     for s in (0.0, dab, *rng.uniform(0.0, dab, size=4)):
@@ -173,3 +176,65 @@ def test_distance_is_metric_on_random_trees(rng):
             for j in range(n):
                 for k in range(n):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+def test_an_edge_point_has_one_form_from_either_end():
+    # edges listed from either end; dyadic lengths and offsets make
+    # length - offset exact, so the two forms name the same point exactly
+    t = trees.RTree(
+        vertices=["r", "p", "q", "e", "l"],
+        edges=[("r", "p", 2.0), ("q", "p", 1.5), ("e", "q", 3.0), ("p", "l", 0.75)],
+        root="r",
+        end="e",
+    )
+    for u, v, length in t.edges:
+        for off in (0.0, 0.25, length / 2, length - 0.25, length):
+            a = t.canon(("edge", u, v, off))
+            b = t.canon(("edge", v, u, length - off))
+            assert a == b
+            assert t.distance(a, b) == 0.0
+
+
+def _oracle_points(t, rng, n_vertices, n_edges, n_rays):
+    """Vertex ids, edge points named from both ends, and ray points inside
+    and past the end of the ray."""
+    pts = [t.vertices[int(i)] for i in rng.choice(len(t.vertices), n_vertices, replace=False)]
+    for k in rng.choice(len(t.edges), n_edges, replace=False):
+        u, v, length = t.edges[int(k)]
+        off = float(rng.uniform(0.0, length))
+        pts += [("edge", u, v, off), ("edge", v, u, length - off)]
+    pts += [("ray", float(s)) for s in rng.uniform(0.0, t.ray_length + 3.0, size=n_rays)]
+    return pts
+
+
+def _assert_matches_path_oracle(t, pts):
+    oracle = TreePathOracle(t, pts)
+    for i, p in enumerate(pts):
+        assert t.busemann(p) == pytest.approx(oracle.busemann(i), abs=1e-9)
+        for j, q in enumerate(pts):
+            d = oracle.distance(i, j)
+            assert abs(t.distance(p, q) - d) <= 1e-9 * (1.0 + d)
+            above = oracle.above(i, j)
+            assert t.order_path(p, q) == above
+            assert t.order_busemann(p, q) == above
+
+
+def test_distance_busemann_and_order_match_a_path_walking_oracle(rng):
+    for _ in range(30):
+        t = ml.random_tree(int(rng.integers(2, 40)), rng)
+        n_edges = min(len(t.edges), 4)
+        _assert_matches_path_oracle(t, _oracle_points(t, rng, min(len(t.vertices), 6), n_edges, 4))
+
+
+def test_a_2000_vertex_path_matches_the_path_walking_oracle(rng):
+    # a path rooted at one end whose ray stops halfway: the far half hangs
+    # below the ray's end, and every meet is a long climb
+    n = 2000
+    lengths = rng.uniform(0.5, 2.0, size=n - 1)
+    t = trees.RTree(
+        vertices=list(range(n)),
+        edges=[(i, i + 1, float(lengths[i])) for i in range(n - 1)],
+        root=0,
+        end=n // 2,
+    )
+    _assert_matches_path_oracle(t, _oracle_points(t, rng, 8, 6, 4))
