@@ -96,7 +96,8 @@ class FiniteMetricPoset:
     @functools.cached_property
     def strict_matrix(self):
         """G[i, j] and i != j: point i strictly above point j."""
-        strict = self.order_matrix & ~np.eye(self.n, dtype=bool)
+        strict = self.order_matrix.copy()
+        strict.flat[:: self.n + 1] = False
         strict.setflags(write=False)
         return strict
 
@@ -180,33 +181,30 @@ def validate(poset, tol=DEFAULT_TOL):
     d = poset.dist
     n = poset.n
     out = []
-    for i in np.flatnonzero(np.abs(np.diag(d)) > tol).tolist():
+    for i in np.flatnonzero(np.abs(d.diagonal()) > tol).tolist():
         out.append(Violation("zero-diagonal", (i,), f"d({i},{i}) = {d[i, i]}"))
     # The pair checks read d and d.T and list the pairs i < j row-major.
     # Nonnegativity is tested only on the pairs that fail symmetry or
     # identity, which hold every failure: for tol >= 0, d(i, j) < -tol
     # fails identity, and d(j, i) < -tol with d(i, j) > tol fails symmetry;
     # every pair fails symmetry when tol < 0, and none fails anything when
-    # tol is NaN.
-    bad = np.abs(d - d.T) > tol
-    bad |= d <= tol
-    bad &= ~np.tri(n, dtype=bool)  # np.tri marks j <= i
-    for i, j in np.argwhere(bad).tolist():
+    # tol is NaN. A d equal to its transpose fails symmetry only if tol < 0.
+    symmetric = np.array_equal(d, d.T)
+    bad = d <= tol
+    if not (symmetric and tol >= 0):
+        bad |= np.abs(d - d.T) > tol
+    bad.flat[:: n + 1] = False
+    for i, j in np.argwhere(np.triu(bad)).tolist() if bad.any() else ():
         if abs(d[i, j] - d[j, i]) > tol:
             out.append(Violation("symmetry", (i, j), f"d({i},{j}) != d({j},{i})"))
         if d[i, j] <= tol:
-            out.append(
-                Violation(
-                    "identity of indiscernibles",
-                    (i, j),
-                    f"d({i},{j}) = {d[i, j]} for distinct points",
-                )
-            )
+            text = f"d({i},{j}) = {d[i, j]} for distinct points"
+            out.append(Violation("identity of indiscernibles", (i, j), text))
         if min(d[i, j], d[j, i]) < -tol:
             out.append(Violation("nonnegativity", (i, j), f"d({i},{j}) < 0"))
     # The row filter of the docstring; argwhere walks a flagged row's (j, k)
     # in row-major order.
-    if np.array_equal(d, d.T):
+    if symmetric:
         # +inf left of the blocks; fl(a + b) = fl(b + a), and a signed zero
         # that array_equal lets differ changes no comparison.
         short = np.full((n, n), np.inf)
@@ -222,24 +220,18 @@ def validate(poset, tol=DEFAULT_TOL):
     for i in np.flatnonzero(flagged).tolist():
         bad = d[i][:, None] > d[i][None, :] + d.T + tol
         for j, k in np.argwhere(bad).tolist():
-            out.append(
-                Violation(
-                    "triangle inequality",
-                    (i, j, k),
-                    f"d({i},{j}) > d({i},{k}) + d({k},{j})",
-                )
-            )
+            text = f"d({i},{j}) > d({i},{k}) + d({k},{j})"
+            out.append(Violation("triangle inequality", (i, j, k), text))
     g = poset.order_matrix
-    for i in np.flatnonzero(~np.diag(g)).tolist():
+    for i in np.flatnonzero(~g.diagonal()).tolist():
         out.append(Violation("reflexivity", (i,), f"({i},{i}) missing"))
-    strict = poset.strict_matrix
-    for i, j in np.argwhere(strict & strict.T).tolist():
-        if i < j:
-            out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
-    # a float product runs in BLAS and is exact for these 0/1 sums
-    gf = g.astype(float)
-    closure = (gf @ gf) > 0
-    for i, j in np.argwhere(closure & ~g).tolist():
+    cycle = poset.strict_matrix & poset.strict_matrix.T
+    for i, j in np.argwhere(np.triu(cycle)).tolist() if cycle.any() else ():
+        out.append(Violation("antisymmetry", (i, j), f"{i} >= {j} >= {i}"))
+    # float32 runs in BLAS; a sum of 0/1 products is > 0 iff one term is 1
+    gf = g.astype(np.float32)
+    missing = (gf @ gf > 0) & ~g
+    for i, j in np.argwhere(missing).tolist() if missing.any() else ():
         out.append(Violation("transitivity", (i, j), f"({i},{j}) missing"))
     return ValidationReport(tuple(out))
 
@@ -279,19 +271,6 @@ class RadialityWitness:
         return self.triple[i], self.triple[j]
 
 
-def _witness_mask(d, g, strict, kind, xs, tol):
-    """``mask[c, y, z]`` marks the witness (kind, (xs.start + c, y, z))."""
-    lhs = d[xs][:, None, :]  # d(x, z)
-    if kind == "RD1":  # x >=* y > z
-        rhs = d[xs][:, :, None]  # d(x, y)
-        mask = ~g[:, xs].T[:, :, None] & strict
-    else:  # x > y >=* z
-        rhs = d[None]  # d(y, z)
-        mask = strict[xs][:, :, None] & ~g.T
-    mask &= lhs < rhs - tol
-    return mask
-
-
 def _witness_blocks(poset, tol):
     """Yield (kind, start, mask) over blocks of x, RD1 blocks first.
 
@@ -309,7 +288,14 @@ def _witness_blocks(poset, tol):
         start, step = 0, 1
         while start < n:
             xs = slice(start, start + step)
-            yield kind, start, _witness_mask(d, g, strict, kind, xs, tol)
+            lhs = d[xs][:, None, :]  # d(x, z)
+            if kind == "RD1":  # x >=* y > z, rhs d(x, y)
+                mask = ~g[:, xs].T[:, :, None] & strict
+                mask &= lhs < d[xs][:, :, None] - tol
+            else:  # x > y >=* z, rhs d(y, z)
+                mask = strict[xs][:, :, None] & ~g.T
+                mask &= lhs < d[None] - tol
+            yield kind, start, mask
             start, step = start + step, min(2 * step, most)
 
 
@@ -327,30 +313,37 @@ def iter_radiality_witnesses(poset, tol=DEFAULT_TOL):
             yield _witness(poset.dist, kind, start + c, y, z)
 
 
-def _pair_ratios(values, allowed, own, other, lhs, tol):
-    """``ratio[p]``: the largest rhs / ``lhs[p]`` over the rhs
-    ``values[own[p], y]`` with ``allowed[other[p], y]`` and lhs < rhs - tol;
-    -inf if none.
-
-    ``top[p]``, the largest allowed rhs, is a masked max over one gathered
-    row, taken by blocks of at most SCAN_BLOCK entries. For lhs >= 0 the
-    best ratio is ``top / lhs``, since fl(a / b) is monotone in a, taken
-    where lhs < top - tol, which holds iff some rhs qualifies, because
-    fl(a - tol) is monotone too.
+def _band_ratios(d, tables, bands, tol):
+    """``ratio[p]``: the largest rhs / lhs over the witnesses at the p-th
+    pair of a pass, -inf if none; the pairs are ``bands[0]`` (RD1) then
+    ``bands[1]`` (RD2), flat indices own * n + other. A pair's lhs is
+    d(x, z), and with (vals, excl, admit) = ``tables[kind]`` its rhs are
+    the vals[own, y] with excl[own, y] False and admit[other, y] True
+    (``a > b`` is ``a & ~b``). Their max ``top`` is taken over gathered
+    rows, by blocks of at most SCAN_BLOCK entries. For lhs >= 0 the best
+    ratio is ``top / lhs`` (fl(a / b) is monotone in a) where lhs < top -
+    tol, which holds iff some rhs qualifies, as fl(a - tol) is monotone too.
     """
-    top = np.empty(len(own))
-    step = max(1, SCAN_BLOCK // max(values.shape[1], 1))
-    for s in range(0, len(own), step):
-        b = slice(s, s + step)
-        np.maximum.reduce(
-            values[own[b]], axis=1, where=allowed[other[b]], initial=-np.inf, out=top[b]
-        )
+    n, split = len(d), len(bands[0])
+    top, lhs = np.empty((2, split + len(bands[1])))
+    for k, ((vals, excl, admit), band) in enumerate(zip(tables, bands)):
+        own, other = np.divmod(band, n)
+        out = top[k * split : k * split + len(band)]
+        step = max(1, SCAN_BLOCK // max(n, 1))
+        for s in range(0, len(band), step):
+            o, r = own[s : s + step], other[s : s + step]
+            mask = np.greater(admit[r], excl[o])
+            np.maximum.reduce(vals[o], axis=1, where=mask, initial=-np.inf, out=out[s : s + step])
+        d.take(other * n + own if k else band, out=lhs[k * split : k * split + len(band)])
     hit = lhs < top - tol
-    ratio = np.full(lhs.shape, -np.inf)
+    ratio = np.full(len(top), -np.inf)
     np.divide(top, lhs, out=ratio, where=hit)
     # a negative lhs (not a metric) turns the order of the ratios round
     for p in np.flatnonzero(hit & np.signbit(lhs)).tolist():
-        rhs = values[own[p], allowed[other[p]]]
+        k = int(p >= split)
+        vals, excl, admit = tables[k]
+        own, other = divmod(int(bands[k][p - k * split]), n)
+        rhs = vals[own, np.greater(admit[other], excl[own])]
         ratio[p] = (rhs[lhs[p] < rhs - tol] / lhs[p]).max()
     return ratio
 
@@ -363,64 +356,70 @@ def max_ratio_witness(poset, tol=DEFAULT_TOL):
     ``ub`` can reach the best found so far: max_y d(x, y) / d(x, z) for
     RD1, max_y d(y, z) / d(x, z) for RD2 (fl(a / b) is monotone in a for
     b > 0), +inf where d(x, z) <= 0 and -inf for x = z, which admits no y.
-    With U the largest finite ``ub``, passes at thresholds U/2, U/4, ...
-    compute every pair whose ``ub`` reaches the threshold, and stop once
-    the best ratio does; a threshold at or below 1 becomes -inf, a last
-    pass over every pair left, and thresholds whose pass would compute
-    nothing and not stop are skipped. The passes keep two scalars: the
-    best ratio and the least flat (kind, x, z) index reaching it. A pair
-    never computed has ratio <= ub < best, so that index is the one a full
-    scan finds, and only its x is enumerated for the first witness of that
-    ratio. Memory stays O(n^2) and time O(n^3), as for every scan here.
+    A pair is stored at (own, other), (x, z) for RD1 and (z, x) for RD2, so
+    RD2 reads the bounds and rows of d.T: d itself when d equals d.T up to
+    signs of zeros, which turn a ratio 0.0 into -0.0 at most. With U the
+    largest finite ``ub``, passes at thresholds U/2, U/4, ... compute every
+    pair whose ``ub`` reaches the threshold, and stop once the best ratio
+    does; a threshold at or below 1 becomes -inf, a last pass over every
+    pair left, and thresholds whose pass would compute nothing and not stop
+    are skipped. A pair never computed has ratio <= ub < best, so the
+    passes kept every pair reaching the best ratio: the least flat
+    (kind, x, z) index of them is the one a full scan finds, and only their
+    z are searched at its x for the first witness. Memory O(n^2), time O(n^3).
     """
     d = poset.dist
     g = poset.order_matrix
     strict = poset.strict_matrix
     n = poset.n
-    # Rows [0, n) for RD1, x >=* y > z: rhs d(x, y), not y >= x, as
-    # values[x] over allowed[z]. Rows [n, 2n) for RD2, x > y >=* z: rhs
-    # d(y, z), not z >= y, as values[n + z] over allowed[n + x].
-    values = np.where(np.vstack([g.T, g]), -np.inf, np.vstack([d, d.T]))
-    allowed = np.vstack([strict.T, strict])
-    ub = np.full((2, n, n), np.inf)
-    positive = d > 0
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(d.max(axis=1, initial=-np.inf)[:, None], d, out=ub[0], where=positive)
-        np.divide(d.max(axis=0, initial=-np.inf), d, out=ub[1], where=positive)
-    ub[:, np.arange(n), np.arange(n)] = -np.inf
-    t = ub.max(where=ub < np.inf, initial=-np.inf) / 2  # U / 2; no ub is NaN
-    best, first = -np.inf, ub.size
-    with np.errstate(divide="ignore"):  # a zero d(x, z) gives ratio inf
+    dT = d if np.array_equal(d, d.T) else np.ascontiguousarray(d.T)
+    # RD1, x >=* y > z: rhs d(x, y), y >= x excluded, y > z admitted.
+    # RD2, x > y >=* z: rhs d(y, z), z >= y excluded, x > y admitted.
+    tables = ((d, np.ascontiguousarray(g.T), np.ascontiguousarray(strict.T)), (dT, g, strict))
+    best, kept, ubs = -np.inf, [], []
+    with np.errstate(divide="ignore", over="ignore"):  # a zero d(x, z) gives ratio inf
+        for m, mT in [(d, d)] if dT is d else [(d, dT), (dT, d)]:
+            ubs.append(np.full((n, n), np.inf))
+            # the row maxima of m, reduced down the columns of mT (the faster axis)
+            np.divide(mT.max(axis=0, initial=-np.inf)[:, None], m, out=ubs[-1], where=m > 0)
+            ubs[-1].flat[:: n + 1] = -np.inf
+        t = max(u.max(where=u < np.inf, initial=-np.inf) for u in ubs) / 2  # U / 2
         while True:
             if not t > 1:
                 t = -np.inf  # the last pass: every pair left
-            band = np.flatnonzero(ub >= t)
-            np.put(ub, band, np.nan)  # no later threshold selects a computed pair
-            k, x, z = np.unravel_index(band, ub.shape)
-            shift = k * n
-            own = np.where(k, z, x) + shift
-            other = np.where(k, x, z) + shift
-            ratio = _pair_ratios(values, allowed, own, other, d[x, z], tol)
-            if ratio.size:
-                # argmax takes the first maximum, the least flat index
-                j = np.argmax(ratio)
-                if ratio[j] > best or (ratio[j] == best and band[j] < first):
-                    best, first = ratio[j], band[j]
+            bands = [np.flatnonzero(u >= t) for u in ubs]
+            for u, band in zip(ubs, bands):
+                np.put(u, band, np.nan)  # no later threshold selects a computed pair
+            bands = (bands[0], bands[-1])  # one array when d is symmetric
+            ratio = _band_ratios(d, tables, bands, tol)
+            kept.append((*bands, ratio))
+            best = max(best, ratio.max(initial=-np.inf))
             if best >= t or t == -np.inf:
                 break
-            rest = np.fmax.reduce(ub, axis=None, initial=-np.inf)  # fmax skips NaN
             t /= 2
-            while t > max(rest, best, 1.0):
-                t /= 2
+            if t > max(best, 1.0):
+                rest = max(np.fmax.reduce(u, axis=None, initial=-np.inf) for u in ubs)  # skips NaN
+                while t > max(rest, best, 1.0):
+                    t /= 2
         if not best > -np.inf:
             return None
-        k, x, _ = np.unravel_index(first, ub.shape)
-        kind, x = ("RD1", "RD2")[k], int(x)
-        y, z = np.nonzero(_witness_mask(d, g, strict, kind, slice(x, x + 1), tol)[0])
-        a, b = _ANCHOR_SLOTS[kind]
-        triple = (x, y, z)
-        i = int(np.argmax(d[triple[a], triple[b]] / d[x, z] == best))
-    return _witness(d, kind, x, int(y[i]), int(z[i]))
+        flat = []  # (kind, x, z) flat indices of the pairs reaching best
+        for b0, b1, ratio in kept:
+            hit = ratio == best
+            own, other = np.divmod(b1[hit[len(b0) :]], n)
+            flat += [b0[hit[: len(b0)]], n * n + other * n + own]
+        flat = np.concatenate(flat)
+        k, x = divmod(int(flat.min()) // n, n)
+        zs = np.sort(flat[flat // n == k * n + x] % n)
+        lhs = d[x, zs]
+        if k == 0:  # [y, c]: x >=* y > zs[c], rhs d(x, y)
+            y, c = np.nonzero(~g[:, x, None] & strict[:, zs] & (lhs < d[x, :, None] - tol))
+            rhs = d[x, y]
+        else:  # [y, c]: x > y >=* zs[c], rhs d(y, zs[c])
+            y, c = np.nonzero(strict[x, :, None] & ~g[zs].T & (lhs < d[:, zs] - tol))
+            rhs = d[y, zs[c]]
+        i = int(np.argmax(rhs / lhs[c] == best))  # the first in row-major order
+    return _witness(d, ("RD1", "RD2")[k], x, int(y[i]), int(zs[c[i]]))
 
 
 def check_radiality(poset, tol=DEFAULT_TOL):

@@ -129,10 +129,28 @@ class HalfSpaceHn:
         return a
 
     def distance(self, a, b):
+        """2 asinh(q), q = ||a - b|| / (2 sqrt(a_h b_h)): the value of
+        arccosh(1 + 2 q^2) without its cancellation for close points.
+
+        log q is taken from the halved difference, exact for normal floats
+        and finite for any finite points, with its norm scaled by its
+        largest entry as in ``ray_gap``; for q > 1, asinh(q) = log q +
+        log1p(sqrt(1 + q^-2)). So no intermediate overflows.
+        """
         a = self.check_point(a)
         b = self.check_point(b)
-        q = float(np.sum((a - b) ** 2)) / (2.0 * a[-1] * b[-1])
-        return float(np.arccosh(1.0 + q))
+        half = a / 2.0 - b / 2.0
+        scale = float(np.max(np.abs(half)))
+        if scale == 0.0:
+            return 0.0
+        log_q = (
+            math.log(scale)
+            + 0.5 * math.log(float(np.sum((half / scale) ** 2)))
+            - 0.5 * (math.log(float(a[-1])) + math.log(float(b[-1])))
+        )
+        if log_q <= 0.0:
+            return 2.0 * math.asinh(math.exp(log_q))
+        return 2.0 * (log_q + math.log1p(math.sqrt(1.0 + math.exp(-2.0 * log_q))))
 
     def ray_point(self, t):
         if t > 700.0:

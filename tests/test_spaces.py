@@ -93,6 +93,29 @@ def test_hn_distance_triangle_inequality(rng):
         assert d(0, 2) <= d(0, 1) + d(1, 2) + 1e-9
 
 
+def test_hn_distance_of_far_apart_points_is_finite():
+    # on one vertical line the distance is the log of the height ratio
+    h = ml.HalfSpaceHn(2)
+    assert h.distance([0.0, 1e300], [0.0, 1.0]) == pytest.approx(300 * math.log(10), rel=1e-14)
+    assert h.distance([0.0, 1e-300], [0.0, 1e300]) == pytest.approx(600 * math.log(10), rel=1e-14)
+    assert math.isfinite(h.distance([1e308, 1e-300], [-1e308, 1e-300]))
+
+
+def test_hn_distance_of_close_points_does_not_cancel():
+    # arccosh(1 + 5e-17) rounds to arccosh(1) = 0; 2 asinh(5e-9) does not
+    h = ml.HalfSpaceHn(2)
+    assert h.distance([1e-8, 1.0], [0.0, 1.0]) == pytest.approx(1e-8, rel=1e-12)
+    assert not ml.ray_order(h, [1e-8, 1.0], [0.0, 1.0])
+
+
+def test_hn_distance_agrees_with_the_arccosh_form(rng):
+    h = ml.HalfSpaceHn(3)
+    for _ in range(500):
+        a, b = (np.append(rng.uniform(-3.0, 3.0, 2), rng.uniform(0.1, 5.0)) for _ in range(2))
+        ref = math.acosh(1.0 + float(np.sum((a - b) ** 2)) / (2.0 * a[-1] * b[-1]))
+        assert h.distance(a, b) == pytest.approx(ref, rel=1e-12)
+
+
 def test_hn_rejects_nonpositive_height():
     h = ml.HalfSpaceHn(2)
     with pytest.raises(StructureError):

@@ -17,11 +17,13 @@ whose upper bound reaches the best ratio, in passes of halving thresholds.
 Fixed cases cover many tied best ratios, a tiny distance that needs three
 passes or more, zero distances and a radial poset that needs the last pass
 over every pair; at n = 300 it is compared with the masked max reduction
-over the whole triple cube, an oracle in O(n^2) memory.
+over the whole triple cube, an oracle in O(n^2) memory, and its peak
+memory there is bounded. ``validate`` is also checked at zero, negative and
+NaN tolerances, on mirrored signed zeros and on a relation that is no order.
 """
 
 import itertools
-
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,16 +248,16 @@ def test_max_ratio_witness_matches_full_tensor_reference(seed, n, kind):
 
 def _counting(monkeypatch):
     """Count the pairs ``max_ratio_witness`` computes exactly, and its
-    passes (one ``_pair_ratios`` call per pass)."""
+    passes (one ``_band_ratios`` call per pass)."""
     seen = {"pairs": 0, "calls": 0}
-    pair_ratios = poset_mod._pair_ratios
+    band_ratios = poset_mod._band_ratios
 
-    def counted(values, allowed, own, other, lhs, tol):
-        seen["pairs"] += len(own)
+    def counted(d, tables, bands, tol):
+        seen["pairs"] += sum(map(len, bands))
         seen["calls"] += 1
-        return pair_ratios(values, allowed, own, other, lhs, tol)
+        return band_ratios(d, tables, bands, tol)
 
-    monkeypatch.setattr(poset_mod, "_pair_ratios", counted)
+    monkeypatch.setattr(poset_mod, "_band_ratios", counted)
     return seen
 
 
@@ -288,6 +290,22 @@ def test_max_ratio_witness_runs_a_few_passes_after_a_tiny_distance(tiny, monkeyp
     assert 3 <= seen["calls"] <= 8
     assert seen["pairs"] < p.n * p.n  # most pairs are never computed
     assert _key(found) == reference_max_ratio(reference_witnesses(d, q.order_matrix))
+
+
+def test_max_ratio_witness_takes_the_least_z_when_ties_come_from_different_passes():
+    """0 > 1 and nothing else: the RD2 pairs (0, 3) and (0, 2) both have
+    ratio 2 with y = 1, but d(4, 3) = 100 raises the bound of (0, 3) to 50,
+    so it is computed passes before (0, 2), whose bound is 2. The first
+    witness still has the least z."""
+    d = np.zeros((5, 5))
+    for (i, j), v in {(0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 1, (1, 2): 2, (1, 3): 4,
+                      (1, 4): 1, (2, 3): 1, (2, 4): 1, (3, 4): 100}.items():
+        d[i, j] = d[j, i] = v
+    g = np.eye(5, dtype=bool)
+    g[0, 1] = True
+    best = reference_max_ratio(reference_witnesses(d, g))
+    assert best == ("RD2", (0, 1, 2), 1.0, 2.0)
+    assert _key(poset_mod.max_ratio_witness(_poset(d, g))) == best
 
 
 def test_max_ratio_witness_at_zero_distances():
@@ -359,16 +377,38 @@ def reduction_max_ratio(p, tol=1e-9):
     return ("RD1", "RD2")[k], (int(x), int(y), int(z)), float(d[x, z]), float(rhs[y, z])
 
 
-@pytest.mark.parametrize("points", ["random", "grid"])
-def test_max_ratio_witness_matches_the_reduction_oracle_at_n_300(points):
+def _planar_300(points):
     if points == "random":
         pts = np.round(np.random.default_rng(8).uniform(-5.0, 5.0, size=(300, 2)), 3)
     else:
         pts = np.array(list(itertools.product(range(15), range(20))), dtype=float)
-    p = ml.poset_from_points(pts, ml.orthant(2))
+    return ml.poset_from_points(pts, ml.orthant(2))
+
+
+@pytest.mark.parametrize("points", ["random", "grid"])
+def test_max_ratio_witness_matches_the_reduction_oracle_at_n_300(points):
+    p = _planar_300(points)
     found = poset_mod.max_ratio_witness(p)
     assert found is not None
     assert _key(found) == reduction_max_ratio(p)
+
+
+@pytest.mark.parametrize("points", ["random", "grid"])
+def test_max_ratio_witness_peaks_below_32_n_squared_bytes(points):
+    """The scan holds one array of bounds when d is symmetric (8 n^2 bytes),
+    a transposed copy of each boolean relation (2 n^2) and the pairs its
+    passes computed: 12 to 18 n^2 bytes here. (2n, n) tables of rhs values
+    and admitted y, with bounds for each kind, took 39 to 45 n^2."""
+    p = _planar_300(points)
+    p.strict_matrix  # derived once per poset, not by the scan
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        poset_mod.max_ratio_witness(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * p.n**2
 
 
 @pytest.mark.parametrize("kind", KIND_NAMES)
@@ -403,6 +443,50 @@ def test_validate_reads_mirrored_signed_zeros_as_symmetric():
     found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
     assert "triangle inequality" in {kind for kind, _ in found}
     assert found == reference_violations(d, g)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+@pytest.mark.parametrize("kind", ["integer-points", "symmetric-non-metric", "asymmetric"])
+def test_validate_at_zero_negative_and_nan_tolerances_matches_the_reference(kind, tol):
+    """A symmetric d skips the symmetry test only for tol >= 0: with a
+    negative tol every pair fails it, and with a NaN tol no check fails."""
+    d, g = _instance(np.random.default_rng([3, KIND_NAMES.index(kind)]), kind, 24)
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g), tol=tol).violations]
+    assert found == reference_violations(d, g, tol)
+    symmetry = [idx for k, idx in found if k == "symmetry"]
+    if np.isnan(tol):
+        assert found == []
+    elif tol < 0:
+        assert len(symmetry) == len(d) * (len(d) - 1) // 2
+    elif kind != "asymmetric":
+        assert symmetry == []
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -1e-9, np.nan])
+def test_validate_on_mirrored_signed_zeros_matches_the_reference_at_every_tolerance(tol):
+    """-0.0 against 0.0 passes ``np.array_equal(d, d.T)``, and
+    |-0.0 - 0.0| = 0, so the symmetry test may be skipped for tol >= 0."""
+    d, g = _instance(np.random.default_rng(12), "integer-points", 30)
+    i, k = np.triu_indices(len(d), 1)
+    d[i[:5], k[:5]], d[k[:5], i[:5]] = -0.0, 0.0
+    d[k[5:9], i[5:9]], d[i[5:9], k[5:9]] = -0.0, 0.0
+    assert np.array_equal(d, d.T) and np.signbit(d).any()
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g), tol=tol).violations]
+    assert found == reference_violations(d, g, tol)
+
+
+def test_validate_lists_the_failures_of_a_relation_that_is_no_order():
+    """A 2-cycle, a missing transitive pair and a missing reflexive pair:
+    ``validate`` enumerates antisymmetry and transitivity only when their
+    checks fail, and then lists them as the reference does."""
+    d = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
+    g = np.eye(5, dtype=bool)
+    g[0, 1] = g[1, 0] = True  # 0 >= 1 >= 0
+    g[2, 3] = g[3, 4] = True  # 2 >= 3 >= 4 without 2 >= 4
+    g[4, 4] = False
+    found = [(v.kind, v.indices) for v in ml.validate(_poset(d, g)).violations]
+    assert found == reference_violations(d, g)
+    assert {k for k, _ in found} == {"reflexivity", "antisymmetry", "transitivity"}
 
 
 class _BlockSizes:
