@@ -34,6 +34,7 @@ _EXPORTS = {
         "feasibility_at_K",
         "min_lipschitz_lp",
         "scalar_extend",
+        "scalar_modulus",
         "line_extend",
         "verify_extension",
     ),

@@ -7,8 +7,9 @@ negative), 2 usage or input error, 3 numeric non-convergence.
 
 ``--format machine`` emits a single strict JSON document on stdout with all
 floats rounded to 9 significant digits and every float that is not finite
-written as null; identical inputs and seed reproduce byte-identical machine
-output (timing is reported only in human format).
+written as null; identical inputs reproduce byte-identical machine output
+(timing is reported only in human format). No command draws random numbers
+but ``gen tree``, whose ``--seed`` its report records.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     NumericInstabilityError,
     RadialityRequiredError,
     SchemaError,
-    UnsupportedTargetError,
 )
 
 EXIT_OK = 0
@@ -66,8 +66,8 @@ def _fmt(x):
 
 
 class Report:
-    """Run report: command, seed, structured outcome and ``inputs``, the
-    SHA-256 of each file read, which the ``files`` loaders fill."""
+    """Run report: command, seed (``gen tree``), structured outcome and
+    ``inputs``, the SHA-256 of each file read, which the loaders fill."""
 
     def __init__(self, command, seed=None):
         self.command = command
@@ -235,25 +235,24 @@ def _cmd_extend(args, report):
 
     problem = files.load_problem(args.problem, args.tol, report.inputs)
     if args.mode == "interpolate":
-        positions = []
-        for lab in problem.domain.labels:
-            try:
-                positions.append(float(lab))
-            except ValueError:
-                raise SchemaError(
-                    "affine-interpolation mode needs a domain on the real "
-                    f"line with numeric labels; got {lab!r}"
-                )
-        anchors = [positions[i] for i in problem.subset]
-        queries = _vector(args.queries) if args.queries else positions
-        cone = None if problem.is_scalar else problem.target
-        out = extension.line_extend(anchors, problem.f, queries, cone=cone)
-        report.outcome = {
-            "status": "Feasible",
-            "K": 1.0,
-            "queries": queries,
-            "values": out,
-        }
+        # each label is its point's position x on the line, and the poset
+        # must be the line's own: distances |x - y| and order x >= y
+        try:
+            x = np.array([float(lab) for lab in problem.domain.labels])
+        except ValueError as exc:
+            raise SchemaError(f"affine-interpolation mode needs numeric labels: {exc}")
+        d = problem.domain.dist
+        bad = ~(np.abs(d - np.abs(x[:, None] - x)) <= problem.tol * (1.0 + d))
+        bad |= problem.domain.order_matrix != (x[:, None] >= x)
+        if bad.any():
+            a, b = (problem.domain.labels[i] for i in np.argwhere(bad)[0])
+            raise SchemaError(
+                "affine-interpolation mode needs the distances |x - y| and the order "
+                f"x >= y of the labels' positions; the pair ({a!r}, {b!r}) breaks them"
+            )
+        queries = _vector(args.queries) if args.queries else x
+        out = extension.line_extend(x[list(problem.subset)], problem.f, queries, problem.target)
+        report.outcome = {"status": "Feasible", "K": 1.0, "queries": queries, "values": out}
         for q, v in zip(queries, np.atleast_2d(out)):
             report.say(f"F({_fmt(q)}) = ({', '.join(_fmt(c) for c in v)})")
         return EXIT_OK
@@ -333,53 +332,24 @@ def _cmd_estimate_e(args, report):
 
     max_iter = extension.MAX_ROUNDS if args.max_iter is None else args.max_iter
     problem = files.load_problem(args.problem, args.tol, report.inputs)
-    if args.samples:
-        # f = sum_g u_g g/|g| over the k generators g of the target cone,
-        # each u_g order-preserving and (1/k)-Lipschitz: ordered points then
-        # differ by a conic combination, and |f(a) - f(b)| <= d(a, b). The
-        # orthant, however given, has the standard basis; {0} has none (f = 0).
-        target = problem.target
-        if target._kind == "orthant":
-            G = np.eye(target.dim)
-        elif target.is_trivial:
-            G = np.empty((0, target.dim))
-        elif target.generators is not None:
-            G = target.generators
-        else:
-            raise UnsupportedTargetError("estimate-e --samples needs a cone given by generators")
-        units = G / cones.norm_many(G, target.norm)[:, None]
-        rng = np.random.default_rng(args.seed)
-        scale = max(1.0, float(np.max(problem.domain.dist)))
-        best, conclusive = 1.0, True
-        for _ in range(args.samples):
-            u = rng.normal(scale=scale, size=(len(problem.subset), len(G)))
-            for g in range(len(G)):
-                u[:, g] = extension.fit_monotone_lipschitz(
-                    problem.domain, problem.subset, u[:, g], lipschitz=1.0 / len(G)
-                )
-            sampled = extension.ExtensionProblem(
-                domain=problem.domain, subset=problem.subset, target=target, f=u @ units
-            )
-            est = extension.estimate_e(sampled, max_iter=max_iter)
-            best = max(best, est.K)
-            conclusive = conclusive and est.conclusive
-        report.outcome = {
-            "samples": args.samples,
-            "modulus_lower_bound": best,
-            "conclusive": conclusive,
-        }
-        report.say(
-            f"sampled modulus lower bound over {args.samples} admissible maps: "
-            f"{_fmt(best)}"
+    if args.supremum:
+        # f* lifted to f* u, u a unit monotone direction of the target: its
+        # K is e on scalar targets and a lower bound on the vector supremum
+        e, pair, f_star = extension.scalar_modulus(problem.domain, problem.subset, problem.tol)
+        u = cones.monotone_direction(problem.target)
+        problem = extension.ExtensionProblem(
+            domain=problem.domain, subset=problem.subset, target=problem.target,
+            f=f_star[:, None] * (u / cones.norm_value(u, problem.target.norm)), tol=problem.tol,
         )
-        return EXIT_OK if conclusive else EXIT_NUMERIC
     est = extension.estimate_e(problem, max_iter=max_iter)
-    report.outcome = {
-        "K": est.K,
-        "lo": est.lo,
-        "hi": est.hi,
-        "conclusive": est.conclusive,
-    }
+    report.outcome = {"K": est.K, "lo": est.lo, "hi": est.hi, "conclusive": est.conclusive}
+    if args.supremum:
+        report.outcome.update(supremum=e, pair=list(pair), map=problem.f)
+        a, b = (problem.domain.labels[i] for i in pair)
+        report.say(
+            f"supremum over admissible scalar maps: {_fmt(e)}, at a = {a!r}, "
+            f"b = {b!r} (points {pair[0]}, {pair[1]}), by f*(s) = D*_S(a, s)"
+        )
     report.say(
         f"estimated minimal Lipschitz constant: {_fmt(est.K)} "
         f"(bracket [{_fmt(est.lo)}, {_fmt(est.hi)}], "
@@ -414,10 +384,9 @@ def _cmd_gen_tree(args, report):
 
 
 def _build_parser():
-    # every command takes --seed and --format; each takes only the other
-    # flags it reads
+    # every command takes --format; each takes only the other flags it
+    # reads, so --seed only gen tree
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("human", "machine"), default="human")
     tol = argparse.ArgumentParser(add_help=False, parents=[common])
     tol.add_argument("--tol", type=float, default=cones.DEFAULT_TOL)
@@ -482,10 +451,7 @@ def _build_parser():
     )
     p.add_argument("problem")
     p.add_argument(
-        "--samples",
-        type=int,
-        default=0,
-        help="sample this many random admissible maps and report the max estimate",
+        "--supremum", action="store_true", help="the exact supremum over admissible scalar maps"
     )
     p.set_defaults(func=_cmd_estimate_e)
 
@@ -501,17 +467,18 @@ def _build_parser():
     p = kinds.add_parser("tree", parents=[common], help="random R-tree with a marked end")
     p.add_argument("--out", required=True)
     p.add_argument("--vertices", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen_tree)
 
     return parser
 
 
 def _flag_error(args):
-    """Why --tol or --samples is out of range, or None."""
+    """Why --tol or --max-iter is out of range, or None."""
     if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
         return f"--tol must be finite and at least 0, got {args.tol}"
-    if getattr(args, "samples", 0) < 0:
-        return f"--samples must be at least 0, got {args.samples}"
+    if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
+        return f"--max-iter must be at least 1, got {args.max_iter}"
     return None
 
 

@@ -6,7 +6,9 @@ Each class of target has one route:
   (``line_extend``),
 * shortest paths for scalar targets: the constraints are difference
   constraints, so the least K and the greatest extension have closed forms
-  (McShane 1934) in the shortest-path lengths of one digraph on X,
+  (McShane 1934) in the shortest-path lengths of one digraph on X, and so
+  does the supremum of the least K over every map on S
+  (``scalar_modulus``),
 * rounds of one sparse min-K LP for vector targets (``_lp_rounds``). Its
   rows are exact for polyhedral norms (L1/LINF), so one round decides;
   for Euclidean targets they relax the pair balls, and tangent cuts
@@ -605,7 +607,8 @@ def estimate_e(problem, tol=BRACKET_TOL, max_iter=MAX_ROUNDS):
     As on the scalar route, K is exactly 1 iff K = 1 fits: an L1/LINF K_lo
     within the LP tolerance above 1 gives 1 when the LP's values verify at
     K = 1. This is a per-f quantity: a lower bound on the supremal
-    extension modulus of (X, S, target) over all admissible maps f.
+    extension modulus of (X, S, target) over all admissible maps f, which
+    ``scalar_modulus`` gives exactly for scalar targets.
     """
     if len(problem.subset) <= 1 or len(problem.subset) == problem.domain.n:
         return EstimateResult.exact(1.0)
@@ -675,6 +678,7 @@ def componentwise_extend(problem):
             subset=problem.subset,
             target=cones.scalar_cone(),
             f=problem.f[:, c : c + 1],
+            tol=problem.tol,
         )
         res = scalar_extend(sub)
         if res.status != FEASIBLE:
@@ -696,22 +700,43 @@ def componentwise_extend(problem):
 
 
 # ---------------------------------------------------------------------------
-# Admissible-map sampling (for modulus lower bounds over sampled f)
+# The scalar extension modulus of (X, S), and admissible test maps
 # ---------------------------------------------------------------------------
+
+
+def _subset_paths(domain, subset, lipschitz=1.0):
+    """D*_S: the (k, k) shortest paths of the digraph on the subset alone
+    whose edge a -> b costs 0 when a >= b and L d(a, b) otherwise."""
+    sub = np.ix_(subset, subset)
+    W = np.where(domain.order_matrix[sub], 0.0, lipschitz * domain.dist[sub])
+    return _shortest_paths(W, np.arange(len(subset)))
+
+
+def scalar_modulus(domain, subset, tol=DEFAULT_TOL):
+    """e(X, S; R), the supremum of K_min(f) over every admissible scalar
+    map f on S, with the pair (a, b) and the map f_star that attain it.
+
+    Every admissible f has f(b) - f(a) <= D*_S(a, b), so (McShane 1934)
+    e = max(1, max D*_S(a, b) / D*_X(a, b)) over anchor pairs, which is
+    K_min of f_star = D*_S(a, .) (one value per subset index), for the
+    first maximizing pair in row-major order, as point indices. It is
+    ``least_K`` with rise D*_S: it raises ConvergenceError where
+    D*_X = 0 < D*_S, and e is exactly 1 iff f_star fits at K = 1.
+    """
+    zero = ExtensionProblem(domain, subset, cones.scalar_cone(), np.zeros((len(subset), 1)), tol)
+    route = _ScalarPaths(zero)
+    route.rise = _subset_paths(domain, zero.subset)  # the largest f(b) - f(a)
+    e = route.least_K()
+    ratio = np.divide(route.rise, route.path, out=np.zeros_like(route.rise), where=route.path > 0.0)
+    a, b = divmod(int(np.argmax(ratio)), len(zero.subset))
+    return e, (zero.subset[a], zero.subset[b]), route.rise[a]
 
 
 def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):
     """The greatest order-preserving ``lipschitz``-Lipschitz scalar map on
-    the subset at or below the raw values.
-
-    U(a) = min_b raw_b + D(b, a) (McShane 1934), over the shortest paths D
-    of the digraph on the subset whose edge b -> a costs 0 when b >= a and
-    L d(b, a) otherwise; it meets every Lipschitz and order row to
-    rounding. Used to turn arbitrary random values into admissible test
-    maps. A negative cost raises StructureError.
+    the subset at or below the raw values, U(a) = min_b raw_b + D*_S(b, a)
+    over ``_subset_paths`` scaled by L (McShane 1934): an admissible test
+    map that meets its rows to rounding. A negative cost raises StructureError.
     """
-    subset = list(subset)
     raw = np.asarray(raw_values, dtype=float).reshape(len(subset))
-    sub = np.ix_(subset, subset)
-    W = np.where(domain.order_matrix[sub], 0.0, lipschitz * domain.dist[sub])
-    return np.min(raw[:, None] + _shortest_paths(W, np.arange(len(subset))), axis=0)
+    return np.min(raw[:, None] + _subset_paths(domain, subset, lipschitz), axis=0)

@@ -285,6 +285,18 @@ def test_componentwise_linf_bound(rng):
     assert res.K <= 1.0 + 1e-9
 
 
+def test_componentwise_honours_the_problem_tolerance():
+    # f(1) - f(0) = 1 + 1e-7 over d = 1: within tol 1e-6, so each
+    # coordinate's subproblem must accept it as the problem did
+    p = ml.ExtensionProblem(
+        domain=ml.chain_instance([0.0, 1.0, 2.0, 4.0]), subset=(0, 1, 3),
+        target=ml.orthant(2), f=[[0.0, 0.0], [1.0 + 1e-7, 0.0], [2.0, 0.5]], tol=1e-6,
+    )
+    res = ml.componentwise_extend(p)
+    assert res.status == extension.FEASIBLE
+    assert res.residuals.anchor <= 1e-6
+
+
 def test_componentwise_requires_radial_domain():
     p = ml.ExtensionProblem(
         domain=witness_poset(),
@@ -368,6 +380,59 @@ def test_fit_rejects_a_negative_cost():
     domain = ml.FiniteMetricPoset(labels=("a", "b", "c"), dist=d, order=frozenset())
     with pytest.raises(StructureError, match="nonnegative"):
         extension.fit_monotone_lipschitz(domain, (0, 1, 2), [0.0, 1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the scalar extension modulus of (X, S): the supremum over admissible maps
+# ---------------------------------------------------------------------------
+
+
+def _least_K(domain, subset, f):
+    p = ml.ExtensionProblem(domain=domain, subset=subset, target=ml.scalar_cone(), f=f[:, None])
+    return ml.estimate_e(p).K
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scalar_modulus_is_the_least_K_of_its_map_and_bounds_every_fitted_map(seed):
+    rng = np.random.default_rng(seed)
+    domain = random_metric_poset(rng, max_points=12)
+    size = int(rng.integers(2, domain.n + 1))
+    subset = tuple(sorted(int(s) for s in rng.choice(domain.n, size=size, replace=False)))
+    e, (a, b), f_star = ml.scalar_modulus(domain, subset)
+    assert e >= 1.0 and a in subset and b in subset
+    assert f_star[subset.index(a)] == 0.0
+    assert _least_K(domain, subset, f_star) == pytest.approx(e, rel=1e-12)
+    for _ in range(10):
+        f = extension.fit_monotone_lipschitz(domain, subset, rng.normal(size=size) * 3.0)
+        assert _least_K(domain, subset, f) <= e * (1.0 + 1e-12)
+
+
+def test_scalar_modulus_of_the_witness_is_its_ratio():
+    p = witness_scalar_problem()
+    e, pair, f_star = ml.scalar_modulus(p.domain, p.subset)
+    assert e == pytest.approx(SQRT25, rel=1e-15) and pair == (1, 0)
+    np.testing.assert_array_equal(f_star[:, None], p.f)
+
+
+def test_scalar_modulus_is_one_on_chains_and_on_the_trivial_order(rng):
+    # summed path lengths can fall an ulp or two short of d; e is still 1
+    for _ in range(50):
+        n = int(rng.integers(2, 15))
+        subset = tuple(sorted(int(s) for s in rng.choice(n, size=rng.integers(1, n + 1), replace=False)))
+        for domain in (
+            ml.chain_instance(np.unique(np.round(rng.uniform(-8.0, 8.0, size=n), 3))),
+            ml.poset_from_points(np.round(rng.uniform(-5.0, 5.0, size=(n, 2)), 3), ml.trivial_cone(2)),
+        ):
+            subset = tuple(s for s in subset if s < domain.n) or (0,)
+            assert ml.scalar_modulus(domain, subset)[0] == 1.0
+
+
+def test_scalar_modulus_raises_when_a_chain_of_x_blocks_a_map_on_s():
+    # a >= c >= b, not transitive: S allows f(b) > f(a), X forbids it
+    p = _zigzag_problem({(0, 2), (2, 1)}, ml.scalar_cone())
+    with pytest.raises(ConvergenceError):
+        ml.scalar_modulus(p.domain, p.subset)
 
 
 def _floyd_warshall(W):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import monolip as ml
-from monolip import cli, files
+from monolip import cli, cones, files
 from monolip.errors import SchemaError
 
 from conftest import round_cap_problem
@@ -272,8 +272,81 @@ def test_cli_non_finite_spacing_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_negative_samples_is_a_usage_error(capsys):
-    argv = ["estimate-e", WITNESS_PROBLEM, "--samples", "-3", "--format", "machine"]
-    assert _usage_error(argv, capsys) == "error: --samples must be at least 0, got -3"
+    # the sampler is gone: --samples, of any count, is a flag nothing reads
+    for count in ("-3", "3"):
+        assert cli.dispatch(["estimate-e", WITNESS_PROBLEM, "--samples", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", WITNESS_PROBLEM, "--mode", "scalar", "--max-iter", "-5"],
+        ["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "2", "--max-iter", "0"],
+        ["estimate-e", WITNESS_PROBLEM, "--max-iter", "0"],
+        ["estimate-e", WITNESS_PROBLEM, "--supremum", "--max-iter", "0"],
+    ],
+    ids=["extend-scalar", "extend-feasible", "estimate-e", "estimate-e-supremum"],
+)
+def test_cli_max_iter_below_one_is_a_usage_error(argv, capsys):
+    # scalar problems run no rounds, yet the cap is refused as for vectors
+    line = _usage_error(argv, capsys)
+    assert line == f"error: --max-iter must be at least 1, got {argv[-1]}"
+
+
+def _problem_file(tmp_path, name, poset, subset, f, target):
+    path = tmp_path / name
+    files.dump({"poset": files.poset_to_dict(poset), "subset": subset, "target": target, "f": f}, path)
+    return str(path)
+
+
+def test_cli_interpolate_refuses_a_poset_its_labels_do_not_place(tmp_path, capsys):
+    # a chain at 0, 2, 2.1, 3 labelled "0" .. "3": the labels would put
+    # "1" and "2" 1 apart where d = 0.1, and call f = 0, 1, 2, 3 1-Lipschitz
+    x = np.array([0.0, 2.0, 2.1, 3.0])
+    chain = ml.FiniteMetricPoset(
+        ("0", "1", "2", "3"), np.abs(x[:, None] - x), x[:, None] >= x
+    )
+    scalar = {"kind": "scalar"}
+    path = _problem_file(tmp_path, "placed.json", chain, [0, 3], [[0.0], [3.0]], scalar)
+    line = _usage_error(["extend", path, "--mode", "interpolate", "--format", "machine"], capsys)
+    assert "the pair ('0', '1') breaks them" in line
+    # the distances of the labels, but the order reversed
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    reversed_chain = ml.FiniteMetricPoset(("0", "1", "2", "3"), np.abs(y[:, None] - y), y[:, None] <= y)
+    path = _problem_file(tmp_path, "reversed.json", reversed_chain, [0, 3], [[3.0], [0.0]], scalar)
+    line = _usage_error(["extend", path, "--mode", "interpolate"], capsys)
+    assert "the pair ('0', '1') breaks them" in line
+    # the line itself passes
+    line_chain = ml.FiniteMetricPoset(("0", "1", "2", "3"), np.abs(y[:, None] - y), y[:, None] >= y)
+    path = _problem_file(tmp_path, "line.json", line_chain, [0, 3], [[0.0], [3.0]], scalar)
+    assert cli.dispatch(["extend", path, "--mode", "interpolate", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["values"] == [[0.0], [1.0], [2.0], [3.0]]
+
+
+def test_cli_interpolate_orders_values_by_the_problems_own_cone(tmp_path, capsys):
+    # on the reversed ray R-, f falls along the line; it was checked against R+
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    chain = ml.FiniteMetricPoset(("0", "1", "2", "3"), np.abs(y[:, None] - y), y[:, None] >= y)
+    reversed_ray = {"kind": "cone", "cone": {"dim": 1, "generators": [[-1.0]]}}
+    path = _problem_file(tmp_path, "falling.json", chain, [0, 3], [[3.0], [0.0]], reversed_ray)
+    assert cli.dispatch(["extend", path, "--mode", "interpolate", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["values"] == [[3.0], [2.0], [1.0], [0.0]]
+
+
+def test_cli_componentwise_honours_tol_as_scalar_does(tmp_path, capsys):
+    # f(1) = 1 + 1e-7 at d(0, 1) = 1 is admissible within --tol 1e-6
+    with open(CHAIN_PROBLEM, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["f"][1] = [1.0 + 1e-7]
+    doc["poset"] = CHAIN_POSET
+    path = str(tmp_path / "problem.json")
+    files.dump(doc, path)
+    for mode in ("scalar", "componentwise"):
+        assert cli.dispatch(["extend", path, "--mode", mode, "--tol", "1e-6"]) == 0
+        assert cli.dispatch(["extend", path, "--mode", mode]) == 2
+    capsys.readouterr()
 
 
 def test_cli_machine_output_deterministic(capsys):
@@ -308,95 +381,87 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     assert len(t.vertices) == 9
 
 
-def test_cli_estimate_e_with_samples(capsys):
-    code = cli.dispatch(["estimate-e", WITNESS_PROBLEM, "--samples", "3", "--seed", "1"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "lower bound" in out
-
-
-def _sampled_problem(tmp_path, cone, seed=3):
-    """8 planar points ordered by ``cone``, five of them anchored at 0."""
-    rng = np.random.default_rng(seed)
-    p = ml.poset_from_points(np.round(rng.uniform(-3.0, 3.0, size=(8, 2)), 3), cone)
-    doc = {
-        "poset": files.poset_to_dict(p),
-        "subset": [0, 1, 2, 3, 4],
-        "target": {"kind": "cone", "cone": files.cone_to_dict(cone)},
-        "f": [[0.0] * cone.dim] * 5,
+def test_cli_estimate_e_supremum_on_the_witness(capsys):
+    argv = ["estimate-e", WITNESS_PROBLEM, "--supremum", "--format", "machine"]
+    assert cli.dispatch(argv) == 0
+    outcome = _strict_json(capsys.readouterr().out)["outcome"]
+    e = float(f"{math.sqrt(2.5):.9g}")
+    assert outcome == {
+        "K": e, "lo": e, "hi": e, "conclusive": True,
+        "supremum": e, "pair": [1, 0], "map": [[2.23606798], [0.0]],
     }
-    path = tmp_path / "problem.json"
-    files.dump(doc, path)
-    return str(path)
+    assert cli.dispatch(["estimate-e", WITNESS_PROBLEM, "--supremum"]) == 0
+    out = capsys.readouterr().out
+    assert "supremum over admissible scalar maps: 1.58113883, at a = '0,0'" in out
 
 
-def test_cli_estimate_e_samples_on_a_generated_cone(tmp_path, capsys):
-    # fitting each coordinate on its own made maps that this cone does not
-    # order, and the command exited 2 on every seed
-    path = _sampled_problem(tmp_path, ml.ConeOrder(dim=2, generators=[[1.0, 0.3], [0.3, 1.0]]))
-    for seed in range(1, 11):
-        assert cli.dispatch(["estimate-e", path, "--samples", "20", "--seed", str(seed)]) == 0
-    capsys.readouterr()
+def _anchored_problem(tmp_path, cone, order=None, seed=3):
+    """8 planar points ordered by ``order`` (default ``cone``), five of
+    them anchored at 0 in the target ``cone``."""
+    rng = np.random.default_rng(seed)
+    p = ml.poset_from_points(np.round(rng.uniform(-3.0, 3.0, size=(8, 2)), 3), order or cone)
+    target = {"kind": "cone", "cone": files.cone_to_dict(cone)}
+    return _problem_file(tmp_path, "problem.json", p, [0, 1, 2, 3, 4], [[0.0] * cone.dim] * 5, target)
+
+
+def _supremum(path, capsys):
+    code = cli.dispatch(["estimate-e", path, "--supremum", "--format", "machine"])
+    return code, json.loads(capsys.readouterr().out)["outcome"]
 
 
 @pytest.mark.parametrize(
     "cone",
-    [ml.orthant(2, "l2"), ml.orthant(2, "l1"), ml.orthant(2, "linf"),
-     ml.ConeOrder(dim=2, halfspaces=np.eye(2))],
+    [
+        ml.orthant(3, "l2"),
+        ml.orthant(3, "l1"),
+        ml.orthant(3, "linf"),
+        ml.ConeOrder(dim=3, generators=[[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.2, 0.1, 1.0]]),
+    ],
+    ids=["l2", "l1", "linf", "generated"],
 )
-def test_cli_estimate_e_samples_on_the_orthant_fit_each_coordinate(tmp_path, monkeypatch, cone):
-    # on the orthant, given by generators or by halfspaces, the per-generator
-    # draw is the per-coordinate draw
-    path = _sampled_problem(tmp_path, cone)
+def test_cli_estimate_e_supremum_lift_attains_e(tmp_path, capsys, cone):
+    # f* u, u a unit monotone direction in the target's norm: its K is a
+    # lower bound on the vector supremum, and on these targets e itself
+    path = _anchored_problem(tmp_path, cone, order=ml.orthant(2))
     problem = files.load_problem(path)
-    drawn = _record_draws(monkeypatch)
-    assert cli.dispatch(["estimate-e", path, "--samples", "4", "--seed", "7"]) == 0
-    rng = np.random.default_rng(7)
-    scale = max(1.0, float(np.max(problem.domain.dist)))
-    for f in drawn:
-        raw = rng.normal(scale=scale, size=(5, 2))
-        fits = [
-            ml.extension.fit_monotone_lipschitz(problem.domain, problem.subset, raw[:, c], 0.5)
-            for c in range(2)
-        ]
-        np.testing.assert_array_equal(f, np.column_stack(fits))
-    assert len(drawn) == 4
+    e, pair, f_star = ml.scalar_modulus(problem.domain, problem.subset)
+    assert e > 1.0
+    code, outcome = _supremum(path, capsys)
+    assert code == 0 and outcome["conclusive"]
+    assert outcome["supremum"] == float(f"{e:.9g}") and outcome["pair"] == list(pair)
+    assert outcome["K"] == pytest.approx(e, rel=1e-4)
+    lifted = np.array(outcome["map"])
+    np.testing.assert_allclose(cones.norm_many(lifted, cone.norm), f_star, rtol=1e-8, atol=1e-8)
 
 
-def _record_draws(monkeypatch):
-    """The maps that ``estimate-e --samples`` hands to estimate_e."""
-    drawn = []
-    estimate_e = ml.extension.estimate_e
-
-    def recording(sampled, **kwargs):
-        drawn.append(sampled.f)
-        return estimate_e(sampled, **kwargs)
-
-    monkeypatch.setattr(ml.extension, "estimate_e", recording)
-    return drawn
+@pytest.mark.parametrize(
+    "cone",
+    [
+        ml.ConeOrder(dim=2, generators=[[1.0, 0.3], [0.3, 1.0]]),
+        ml.ConeOrder(dim=2, halfspaces=[[1.0, -0.3], [-0.3, 1.0]]),
+    ],
+    ids=["generated", "halfspace"],
+)
+def test_cli_estimate_e_supremum_on_a_cone_in_the_plane(tmp_path, capsys, cone):
+    # on an L2 target, <F, u> is a scalar extension of f* for any extension
+    # F of f* u, so the bracket holds e, whichever form the cone is given in
+    path = _anchored_problem(tmp_path, cone)
+    code, outcome = _supremum(path, capsys)
+    assert code == 0
+    assert outcome["lo"] <= outcome["supremum"] * (1.0 + 1e-8)
+    assert outcome["hi"] >= outcome["supremum"] * (1.0 - 1e-8)
 
 
 @pytest.mark.parametrize(
     "cone",
     [ml.trivial_cone(2), ml.ConeOrder(dim=2, halfspaces=np.vstack([np.eye(2), -np.eye(2)]))],
+    ids=["trivial", "trivial-halfspace"],
 )
-def test_cli_estimate_e_samples_on_the_trivial_cone_draw_zero(tmp_path, monkeypatch, capsys, cone):
-    # {0} has no generators, so the only draw is the zero map
-    path = _sampled_problem(tmp_path, cone)
-    drawn = _record_draws(monkeypatch)
-    assert cli.dispatch(["estimate-e", path, "--samples", "3"]) == 0
-    assert len(drawn) == 3
-    for f in drawn:
-        np.testing.assert_array_equal(f, np.zeros((5, 2)))
-    capsys.readouterr()
-
-
-def test_cli_estimate_e_samples_needs_generators(tmp_path, capsys):
-    # a pointed cone other than the orthant, given only by its facet normals
-    cone = ml.ConeOrder(dim=2, halfspaces=[[1.0, -0.3], [-0.3, 1.0]])
-    path = _sampled_problem(tmp_path, cone)
-    assert cli.dispatch(["estimate-e", path, "--samples", "3"]) == 2
-    assert "generators" in capsys.readouterr().err
+def test_cli_estimate_e_supremum_on_the_trivial_cone_is_a_usage_error(tmp_path, capsys, cone):
+    # {0} has no monotone direction to lift f* along
+    path = _anchored_problem(tmp_path, cone, order=ml.orthant(2))
+    line = _usage_error(["estimate-e", path, "--supremum"], capsys)
+    assert "no monotone direction" in line
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +630,11 @@ UNREAD_FLAGS = {
     "gen-tree-side": ["gen", "tree", "--side", "3"],
     "gen-tree-spacing": ["gen", "tree", "--spacing", "2"],
     "gen-tree-norm": ["gen", "tree", "--norm", "l1"],
+    "validate-seed": ["validate", WITNESS, "--seed", "1"],
+    "extend-seed": ["extend", WITNESS_PROBLEM, "--seed", "1"],
+    "estimate-e-seed": ["estimate-e", WITNESS_PROBLEM, "--seed", "1"],
+    "certify-seed": ["certify", WITNESS, "--space", "hilbert", "--e", "1,1", "--seed", "1"],
+    "gen-grid-seed": ["gen", "grid", "--seed", "1"],
 }
 
 

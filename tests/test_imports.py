@@ -71,7 +71,7 @@ def test_scalar_commands_load_no_scipy():
         (["extend", WITNESS_PROBLEM, "--mode", "feasible", "--K", "1"], 1),
         (["extend", CHAIN_PROBLEM, "--mode", "componentwise"], 0),
         (["estimate-e", WITNESS_PROBLEM], 0),
-        (["estimate-e", WITNESS_PROBLEM, "--samples", "3", "--seed", "1"], 0),
+        (["estimate-e", WITNESS_PROBLEM, "--supremum"], 0),
     ]
     code = (
         "import contextlib, io\n"
@@ -109,7 +109,7 @@ EXPORTS = {
     "extension": [
         "EstimateResult", "ExtensionProblem", "ExtensionResult", "componentwise_extend",
         "estimate_e", "feasibility_at_K", "min_lipschitz_lp", "scalar_extend", "line_extend",
-        "verify_extension",
+        "scalar_modulus", "verify_extension",
     ],
     "obstruction": [
         "ObstructionCertificate", "build_test_map", "certify_obstruction", "e2_lower_bound",
