@@ -251,7 +251,9 @@ def _cmd_extend(args, report):
                 f"x >= y of the labels' positions; the pair ({a!r}, {b!r}) breaks them"
             )
         queries = _vector(args.queries) if args.queries else x
-        out = extension.line_extend(x[list(problem.subset)], problem.f, queries, problem.target)
+        out = extension.line_extend(
+            x[list(problem.subset)], problem.f, queries, problem.target, tol=problem.tol
+        )
         report.outcome = {"status": "Feasible", "K": 1.0, "queries": queries, "values": out}
         for q, v in zip(queries, np.atleast_2d(out)):
             report.say(f"F({_fmt(q)}) = ({', '.join(_fmt(c) for c in v)})")
@@ -422,7 +424,7 @@ def _build_parser():
         choices=("interpolate", "scalar", "feasible", "componentwise"),
         default="scalar",
     )
-    p.add_argument("--K", type=float, default=None)
+    p.add_argument("--K", type=float, default=None, help="the K to decide (feasible mode)")
     p.add_argument("--queries", default=None, help="comma floats (interpolate mode)")
     p.set_defaults(func=_cmd_extend)
 
@@ -474,11 +476,16 @@ def _build_parser():
 
 
 def _flag_error(args):
-    """Why --tol or --max-iter is out of range, or None."""
+    """Why a flag is out of range, or is one the extend mode does not read, or None."""
     if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
         return f"--tol must be finite and at least 0, got {args.tol}"
     if getattr(args, "max_iter", None) is not None and args.max_iter < 1:
         return f"--max-iter must be at least 1, got {args.max_iter}"
+    # the extend flags that one --mode alone reads
+    for dest, mode in (("K", "feasible"), ("queries", "interpolate"), ("max_iter", "feasible")):
+        if args.subcommand == "extend" and getattr(args, dest) is not None and args.mode != mode:
+            flag = "--" + dest.replace("_", "-")
+            return f"{flag} is read only by --mode {mode}, not by --mode {args.mode}"
     return None
 
 

@@ -8,7 +8,8 @@ Each class of target has one route:
   constraints, so the least K and the greatest extension have closed forms
   (McShane 1934) in the shortest-path lengths of one digraph on X, and so
   does the supremum of the least K over every map on S
-  (``scalar_modulus``),
+  (``scalar_modulus``); the same table extends each coordinate of an
+  orthant target (``componentwise_extend``),
 * rounds of one sparse min-K LP for vector targets (``_lp_rounds``). Its
   rows are exact for polyhedral norms (L1/LINF), so one round decides;
   for Euclidean targets they relax the pair balls, and tangent cuts
@@ -244,33 +245,36 @@ def _shortest_paths(W, sources):
 
 
 class _ScalarPaths:
-    """The exact scalar route, for one problem and every K at once.
+    """The exact route for a scalar target or an orthant (each of its m
+    coordinates ordered as R+), for one problem and every K at once.
 
     ``D[a, x]`` is D*(s_a, x), the shortest-path length from anchor s_a to x
     in the complete digraph on X whose edge i -> j costs 0 when the order
     forces F(j) <= F(i) (i >= j, for the ray R+) and d(i, j) otherwise;
     ``_shortest_paths`` computes it from the dense cost matrix by frontier
     Bellman-Ford rounds, with numpy only, and raises StructureError on a
-    negative d(i, j) on an edge that is not free.
-    Any order-preserving K-Lipschitz F has F(x) <= F(s) + K D*(s, x), and
-    U(x) = min_s f(s) + K D*(s, x) meets every constraint, so an extension
-    exists at K iff f(b) - f(a) <= K D*(a, b) on all anchor pairs, and U is
-    then the greatest extension.
+    negative d(i, j) on an edge that is not free. One table serves every
+    coordinate c: an order-preserving K-Lipschitz F has F_c(x) <= F_c(s) +
+    K D*(s, x), and U_c(x) = min_s f_c(s) + K D*(s, x) meets every
+    constraint, so an extension exists at K iff rise[a, b, c] = f_c(b) -
+    f_c(a) <= K D*(a, b) on all anchor pairs and coordinates, and U is then
+    the greatest extension (McShane 1934). ``scalar_modulus`` gives the
+    (k, k, 1) rise D*_S in place of f's.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, rise=None):
         g = problem.domain.order_matrix
         # i >= j bounds F(j) by F(i) on R+, F(i) by F(j) on R-, both on {0}
-        up, down = problem.target._line_signs
+        up, down = problem.target._line_signs if problem.is_scalar else (True, False)
         free = (g & ~down) | (g.T & ~up)
         self.D = _shortest_paths(np.where(free, 0.0, problem.domain.dist), problem.subset)
-        self.f = problem.f[:, 0]
+        self.f = problem.f
         self.tol = problem.tol
         self.path = self.D[:, problem.subset]  # D*(a, b) between anchors
-        self.rise = self.f[None, :] - self.f[:, None]  # f(b) - f(a)
+        self.rise = self.f[None, :, :] - self.f[:, None, :] if rise is None else rise
 
     def least_K(self):
-        """K_min = max(1, max (f(b) - f(a)) / D*(a, b)) over anchor pairs.
+        """K_min = max(1, max rise[a, b, c] / D*(a, b)) over anchor pairs and c.
 
         D*(a, b) = 0 where a chain of zero-cost edges forces f(b) <= f(a).
         Construction checks only directly comparable anchors, so a rise
@@ -287,17 +291,16 @@ class _ScalarPaths:
             )
         if self.fits(1.0):
             return 1.0
-        return float(np.max(self.rise[apart] / self.path[apart]))
+        return float(np.max(self.rise[apart] / self.path[apart][:, None]))
 
     def fits(self, K):
-        bound = K * self.path
+        """True iff every coordinate extends at K."""
+        bound = K * self.path[:, :, None]
         return bool(np.all(self.rise <= bound + self.tol * (1.0 + bound)))
 
     def values(self, K):
-        # one (n, 1) array, not a view of an (n,) one: results are often kept
-        out = np.empty((self.D.shape[1], 1))
-        np.min(self.f[:, None] + K * self.D, axis=0, out=out[:, 0])
-        return out
+        """The (n, m) greatest extension at K."""
+        return np.min(self.f[:, None, :] + (K * self.D)[:, :, None], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +520,7 @@ def _lp_rounds(problem, max_rounds):
 
 def _residual_bound(problem, K):
     """The largest ``verify_extension`` residual that a Feasible K accepts."""
-    return DEFAULT_TOL * (1.0 + K * float(np.max(problem.domain.dist)))
+    return problem.tol * (1.0 + K * float(np.max(problem.domain.dist)))
 
 
 def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
@@ -530,7 +533,7 @@ def feasibility_at_K(problem, K, max_iter=MAX_ROUNDS):
     values at K_lo; Euclidean targets are Feasible once an attained K_hi
     <= K within ``max_iter`` rounds, else Unknown with the best values
     found. Every Feasible checks its own values: a ``verify_extension``
-    residual above DEFAULT_TOL (1 + K max d) makes it Unknown.
+    residual above ``problem.tol`` (1 + K max d) makes it Unknown.
     """
     if not 0.0 < K < np.inf:
         raise StructureError("K must be positive and finite")
@@ -660,42 +663,29 @@ def scalar_extend(problem):
 
 
 def componentwise_extend(problem):
-    """Per-coordinate scalar extension into a coordinatewise-ordered R^m.
+    """Extension into a coordinatewise-ordered R^m: the greatest scalar
+    extension of each coordinate at K = 1, read off one ``_ScalarPaths``
+    table.
 
-    Requires a radial domain; the aggregated Lipschitz constant is at most
-    sqrt(m) for L2 targets and 1 for LINF targets.
+    Requires a radial domain; the K that the values attain in the target's
+    norm is at most sqrt(m) for L2 targets and 1 for LINF targets.
     """
     if problem.target._kind != "orthant":
         raise StructureError("componentwise extension needs the coordinatewise cone")
     witness = poset_mod.check_radiality(problem.domain)
     if witness is not None:
         raise RadialityRequiredError(witness)
-    m = problem.target.dim
-    values = np.zeros((problem.domain.n, m))
-    for c in range(m):
-        sub = ExtensionProblem(
-            domain=problem.domain,
-            subset=problem.subset,
-            target=cones.scalar_cone(),
-            f=problem.f[:, c : c + 1],
-            tol=problem.tol,
-        )
-        res = scalar_extend(sub)
-        if res.status != FEASIBLE:
-            raise ConvergenceError(
-                f"coordinate {c} failed to extend at K = 1 on a radial domain"
-            )
-        values[:, c] = res.values[:, 0]
+    route = _ScalarPaths(problem)
+    if not route.fits(1.0):
+        raise ConvergenceError("a coordinate failed to extend at K = 1 on a radial domain")
+    values = route.values(1.0)
     i, j = problem.domain.upper_pairs
     d = problem.domain.dist[i, j]
     apart = d > 0
     gaps = cones.norm_many(values[i[apart]] - values[j[apart]], problem.target.norm)
-    k_achieved = float(np.max(gaps / d[apart], initial=1.0))
+    K = float(np.max(gaps / d[apart], initial=1.0))
     return ExtensionResult(
-        values=values,
-        K=k_achieved,
-        status=FEASIBLE,
-        residuals=verify_extension(problem, values, k_achieved),
+        values=values, K=K, status=FEASIBLE, residuals=verify_extension(problem, values, K)
     )
 
 
@@ -724,12 +714,12 @@ def scalar_modulus(domain, subset, tol=DEFAULT_TOL):
     D*_X = 0 < D*_S, and e is exactly 1 iff f_star fits at K = 1.
     """
     zero = ExtensionProblem(domain, subset, cones.scalar_cone(), np.zeros((len(subset), 1)), tol)
-    route = _ScalarPaths(zero)
-    route.rise = _subset_paths(domain, zero.subset)  # the largest f(b) - f(a)
+    rise = _subset_paths(domain, zero.subset)  # the largest f(b) - f(a)
+    route = _ScalarPaths(zero, rise[:, :, None])
     e = route.least_K()
-    ratio = np.divide(route.rise, route.path, out=np.zeros_like(route.rise), where=route.path > 0.0)
+    ratio = np.divide(rise, route.path, out=np.zeros_like(rise), where=route.path > 0.0)
     a, b = divmod(int(np.argmax(ratio)), len(zero.subset))
-    return e, (zero.subset[a], zero.subset[b]), route.rise[a]
+    return e, (zero.subset[a], zero.subset[b]), rise[a]
 
 
 def fit_monotone_lipschitz(domain, subset, raw_values, lipschitz=1.0):

@@ -151,6 +151,25 @@ def test_feasibility_s_equals_x():
     np.testing.assert_allclose(res.values, p.f, atol=0)
 
 
+@pytest.mark.parametrize(
+    "subset, f",
+    [((0, 1, 2), [[0.0], [1.0 + 1e-7], [2.0]]), ((0, 2), [[0.0], [2.0 + 1e-7]])],
+    ids=["every-point", "two-anchors"],
+)
+def test_feasibility_verifies_with_the_problem_tolerance(subset, f):
+    # a rise of 1e-7 over d is admissible within tol 1e-6, so the values
+    # must verify with that tol, as estimate_e and scalar_extend read it
+    p = ml.ExtensionProblem(
+        domain=ml.chain_instance([0.0, 1.0, 2.0]), subset=subset,
+        target=ml.scalar_cone(), f=f, tol=1e-6,
+    )
+    res = ml.feasibility_at_K(p, 1.0)
+    assert res.status == extension.FEASIBLE
+    assert 0.0 < res.residuals.max() <= 1e-6
+    assert ml.estimate_e(p).K == 1.0
+    assert ml.scalar_extend(p).status == extension.FEASIBLE
+
+
 def test_feasibility_monotone_in_K():
     p = witness_scalar_problem()
     k_min = ml.estimate_e(p).K
@@ -286,8 +305,8 @@ def test_componentwise_linf_bound(rng):
 
 
 def test_componentwise_honours_the_problem_tolerance():
-    # f(1) - f(0) = 1 + 1e-7 over d = 1: within tol 1e-6, so each
-    # coordinate's subproblem must accept it as the problem did
+    # f(1) - f(0) = 1 + 1e-7 over d = 1: within tol 1e-6, so every
+    # coordinate must fit at K = 1 as the problem's check accepted it
     p = ml.ExtensionProblem(
         domain=ml.chain_instance([0.0, 1.0, 2.0, 4.0]), subset=(0, 1, 3),
         target=ml.orthant(2), f=[[0.0, 0.0], [1.0 + 1e-7, 0.0], [2.0, 0.5]], tol=1e-6,
@@ -307,6 +326,51 @@ def test_componentwise_requires_radial_domain():
     with pytest.raises(RadialityRequiredError) as info:
         ml.componentwise_extend(p)
     assert info.value.witness.kind == "RD1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3), norm=st.sampled_from(["l2", "linf"]))
+def test_componentwise_is_the_scalar_extension_of_each_coordinate(seed, m, norm):
+    # each column, bit for bit, is scalar_extend of that coordinate at K = 1
+    rng = np.random.default_rng(seed)
+    domain = random_radial_poset(rng)
+    size = int(rng.integers(1, domain.n + 1))
+    subset = tuple(sorted(int(s) for s in rng.choice(domain.n, size=size, replace=False)))
+    # each coordinate (1/sqrt(m))-Lipschitz keeps the L2 map 1-Lipschitz
+    lip = 1.0 / math.sqrt(m) if norm == "l2" else 1.0
+    f = np.column_stack([
+        extension.fit_monotone_lipschitz(domain, subset, rng.normal(size=size) * 3.0, lip)
+        for _ in range(m)
+    ])
+    p = ml.ExtensionProblem(domain=domain, subset=subset, target=ml.orthant(m, norm), f=f)
+    res = ml.componentwise_extend(p)
+    assert res.status == extension.FEASIBLE
+    assert res.values.shape == (domain.n, m)
+    for c in range(m):
+        q = ml.ExtensionProblem(
+            domain=domain, subset=subset, target=ml.scalar_cone(), f=f[:, c : c + 1]
+        )
+        one = ml.scalar_extend(q)
+        assert one.K == 1.0
+        assert np.array_equal(res.values[:, c], one.values[:, 0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_componentwise_reads_one_shortest_path_table(m, monkeypatch):
+    calls = []
+    shortest_paths = extension._shortest_paths
+
+    def counted(W, sources):
+        calls.append(len(sources))
+        return shortest_paths(W, sources)
+
+    monkeypatch.setattr(extension, "_shortest_paths", counted)
+    domain = ml.chain_instance(np.arange(8.0))
+    f = np.outer([0.0, 2.0, 7.0], np.linspace(0.1, 1.0, m)) / math.sqrt(m)
+    p = ml.ExtensionProblem(domain=domain, subset=(0, 2, 7), target=ml.orthant(m), f=f)
+    res = ml.componentwise_extend(p)
+    assert res.status == extension.FEASIBLE
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------------------

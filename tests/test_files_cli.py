@@ -343,9 +343,9 @@ def test_cli_componentwise_honours_tol_as_scalar_does(tmp_path, capsys):
     doc["poset"] = CHAIN_POSET
     path = str(tmp_path / "problem.json")
     files.dump(doc, path)
-    for mode in ("scalar", "componentwise"):
-        assert cli.dispatch(["extend", path, "--mode", mode, "--tol", "1e-6"]) == 0
-        assert cli.dispatch(["extend", path, "--mode", mode]) == 2
+    for mode in (["scalar"], ["componentwise"], ["interpolate"], ["feasible", "--K", "1"]):
+        assert cli.dispatch(["extend", path, "--mode", *mode, "--tol", "1e-6"]) == 0
+        assert cli.dispatch(["extend", path, "--mode", *mode]) == 2
     capsys.readouterr()
 
 
@@ -647,6 +647,29 @@ def test_cli_refuses_a_flag_its_command_does_not_read(argv, tmp_path, capsys):
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and "unrecognized arguments" in stderr
     assert not out.exists()
+
+
+UNREAD_MODE_FLAGS = {
+    "scalar-K": (["--mode", "scalar", "--K", "5"], "--K", "feasible"),
+    "default-mode-K": (["--K", "5"], "--K", "feasible"),
+    "interpolate-K": (["--mode", "interpolate", "--K", "0.5"], "--K", "feasible"),
+    "scalar-queries": (["--mode", "scalar", "--queries=1,2"], "--queries", "interpolate"),
+    "feasible-queries": (["--mode", "feasible", "--K", "1", "--queries=1"], "--queries",
+                         "interpolate"),
+    "componentwise-max-iter": (["--mode", "componentwise", "--max-iter", "3"], "--max-iter",
+                               "feasible"),
+}
+
+
+@pytest.mark.parametrize(
+    "tail, flag, mode", UNREAD_MODE_FLAGS.values(), ids=UNREAD_MODE_FLAGS.keys()
+)
+def test_cli_extend_refuses_a_flag_its_mode_does_not_read(tail, flag, mode, capsys):
+    problem = CHAIN_PROBLEM if "interpolate" in tail else WITNESS_PROBLEM
+    assert cli.dispatch(["extend", problem, *tail]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"error: {flag} is read only by --mode {mode}, not by --mode ")
 
 
 def test_cli_extend_feasible_is_unknown_at_the_round_cap(tmp_path):

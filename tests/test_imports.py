@@ -87,6 +87,31 @@ def test_scalar_commands_load_no_scipy():
     assert loaded == ""
 
 
+def test_componentwise_with_vector_targets_loads_no_scipy(tmp_path):
+    # one shortest-path table for every coordinate, so m >= 2 needs no
+    # more of scipy than the scalar route
+    chain = os.path.abspath(os.path.join(INSTANCES, "chain_poset.json"))
+    eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for name, norm in (("l2.json", "l2"), ("linf.json", "linf")):
+        doc = {
+            "poset": chain, "subset": [0, 1, 3], "f": [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1.5, 0.5]],
+            "target": {"kind": "cone", "cone": {"dim": 3, "generators": eye, "norm": norm}},
+        }
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argvs = [["extend", str(tmp_path / name), "--mode", "componentwise"]
+             for name in ("l2.json", "linf.json")]
+    code = (
+        "import contextlib, io\n"
+        "from monolip import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.dispatch(argv + ['--format', 'machine']) for argv in {argvs!r}]\n"
+        "print(codes)\n" + REPORT
+    )
+    codes, loaded = run_fresh(code)
+    assert codes == "[0, 0]"
+    assert loaded == ""
+
+
 def test_halfspace_cone_membership_skips_scipy_optimize():
     code = (
         "from monolip import cones\n"
